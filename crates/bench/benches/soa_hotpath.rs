@@ -1,8 +1,8 @@
 //! The batched SoA hot path against the retained per-record path: the
 //! same materialized pmake trace pushed through the analyzer as
-//! 4096-record SoA blocks (`push_block`, the streaming pipeline's
-//! production path) versus per-record AoS chunks (`push_chunk`, the
-//! differential reference), plus the raw staging cost of the monitor's
+//! 4096-record SoA blocks (`push_block`, the analyzer's production
+//! path) versus one record at a time (`push`, the differential
+//! reference), plus the raw staging cost of the monitor's
 //! [`RecordBlock`] columns.
 
 use oscar_bench::{black_box, Harness};
@@ -58,8 +58,8 @@ fn main() {
 
     h.bench("soa/analyze_per_record", || {
         let mut a = StreamAnalyzer::new(meta.clone(), opts.clone());
-        for recs in art.trace.chunks(CHUNK) {
-            a.push_chunk(recs);
+        for &rec in &art.trace {
+            a.push(black_box(rec));
         }
         black_box(a.finish().os.total())
     });
@@ -94,10 +94,8 @@ fn main() {
         black_box(kept)
     });
 
-    // Stage-occupancy point: one simulate+analyze run with the analyzer
-    // sharded two wide versus serial. The pair is the single-run
-    // pipeline's bench anchor; stage rows (below) show where the time
-    // in the pipelined run actually sits.
+    // Stage-occupancy point: one simulate+analyze run; its stage rows
+    // (below) show how the time splits between producer and analyzer.
     let cfg = ExperimentConfig::new(WorkloadKind::Pmake)
         .warmup(2_000_000)
         .measure(6_000_000);
@@ -105,23 +103,10 @@ fn main() {
         let (a, _) = run_streaming(&cfg, &StreamOptions::default());
         black_box(a.trace_records)
     });
-    h.bench("soa/stream_pipelined_x2", || {
-        let (a, _) = run_streaming(
-            &cfg,
-            &StreamOptions {
-                shards: 2,
-                sweep_workers: 2,
-                ..StreamOptions::default()
-            },
-        );
-        black_box(a.trace_records)
-    });
     {
         let (a, _) = run_streaming(
             &cfg,
             &StreamOptions {
-                shards: 2,
-                sweep_workers: 2,
                 stage_stats: true,
                 ..StreamOptions::default()
             },

@@ -327,7 +327,7 @@ impl ClassCounts {
 /// bulk-count them (a write-back carries no classification state) and
 /// walk only the lanes that need the full access handler. Owns its
 /// bitmap so steady-state scanning allocates nothing. The scalar
-/// per-record dispatch (`StreamAnalyzer::push_chunk`) is the retained
+/// per-record dispatch (`StreamAnalyzer::push`) is the retained
 /// differential oracle.
 #[derive(Debug, Default)]
 pub struct KindScan {

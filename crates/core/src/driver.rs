@@ -175,8 +175,8 @@ pub struct ReportRequest {
     /// Also collect exhibit provenance: per-cell contribution counts
     /// behind the paper-report exhibits, exported as `exhibit.*`
     /// metrics ([`crate::observe::provenance_metrics`]). Implies
-    /// observability (the sync tables come from the kernel probes) and
-    /// forces the sweeps inline; never changes the report bytes.
+    /// observability (the sync tables come from the kernel probes);
+    /// never changes the report bytes.
     pub want_provenance: bool,
     /// Also track per-block contention and export the symbolized
     /// hot-line exhibit ([`ReportOutput::hotlines`], the report's
@@ -201,11 +201,10 @@ pub struct ReportRequest {
     /// On-disk snapshot cache directory
     /// ([`StreamOptions::checkpoint_dir`]).
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Analyzer pipeline width: classification shards and sweep workers
-    /// per run ([`StreamOptions::shards`] /
-    /// [`StreamOptions::sweep_workers`]). 0 or 1 keeps the serial
-    /// analyzer; exports are byte-identical at any width. The CLI's
-    /// `--pipeline auto` resolves to [`auto_pipeline`].
+    /// Ignored: every run analyzes on the streaming pipeline's one
+    /// analysis thread. The field stays so that callers which build
+    /// `ReportRequest` as a full struct literal, such as the
+    /// `perfbench` harness, keep compiling unchanged.
     pub pipeline: usize,
     /// Collect per-stage occupancy rows
     /// ([`StreamOptions::stage_stats`]) into [`ReportOutput::phases`]
@@ -233,21 +232,6 @@ impl ReportRequest {
             stage_stats: false,
         }
     }
-}
-
-/// Resolves `--pipeline auto`: analyzer workers per stage kind for one
-/// run, given `jobs` concurrent report runs sharing the host. A
-/// pipelined run occupies one producer thread, the analysis loop, and
-/// one classification shard plus one sweep worker per returned unit, so
-/// the width divides the per-run core share accordingly. Always at
-/// least 1 (the serial analyzer) and capped at 8 — the shard fan-out's
-/// returns diminish well before that on this workload mix.
-pub fn auto_pipeline(jobs: usize) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let per_run = cores / jobs.max(1);
-    (per_run.saturating_sub(2) / 2).clamp(1, 8)
 }
 
 /// Everything one request produced.
@@ -295,8 +279,6 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         epoch_cycles: req.epoch_cycles,
         epoch_jobs: req.epoch_jobs,
         checkpoint_dir: req.checkpoint_dir.clone(),
-        shards: req.pipeline.max(1),
-        sweep_workers: req.pipeline.max(1),
         stage_stats: req.stage_stats,
         ..StreamOptions::default()
     };

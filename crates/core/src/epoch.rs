@@ -483,7 +483,7 @@ pub(crate) fn run_epoch_producer(
                         if stage.len() >= SINK_BATCH {
                             sink.record_batch(&stage);
                             if let Some(b) = &mut timeline {
-                                b.push_chunk(&stage);
+                                b.push_records(&stage);
                             }
                             stage.clear();
                         }
@@ -492,7 +492,7 @@ pub(crate) fn run_epoch_producer(
                 if !stage.is_empty() {
                     sink.record_batch(&stage);
                     if let Some(b) = &mut timeline {
-                        b.push_chunk(&stage);
+                        b.push_records(&stage);
                     }
                 }
                 // Dropping the sink flushes its partial last chunk,

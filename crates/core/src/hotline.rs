@@ -226,8 +226,8 @@ pub struct HotlineAnalysis {
 }
 
 /// Streaming per-block contention tracker. Fed by the analyzer on the
-/// classified data-miss path (inline classification only, so the class
-/// verdict is available access-by-access); sequential and
+/// classified data-miss path, access by access with the class
+/// verdict; sequential and
 /// deterministic, so hot-line exhibits are byte-identical across
 /// `--jobs` and serial vs. epoch-parallel runs.
 #[derive(Debug)]

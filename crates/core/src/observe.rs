@@ -92,7 +92,7 @@ impl CpuTrack {
 
 /// Streaming consumer of monitor records that rebuilds per-CPU
 /// timelines and the `trace.*` self-metrics. Feed records in trace
-/// order ([`TimelineBuilder::push_chunk`]), then call
+/// order ([`TimelineBuilder::push_records`]), then call
 /// [`TimelineBuilder::finish`] to close open spans.
 #[derive(Debug)]
 pub struct TimelineBuilder {
@@ -289,7 +289,7 @@ impl TimelineBuilder {
     }
 
     /// Feeds a batch of monitor records, in trace order.
-    pub fn push_chunk(&mut self, recs: &[BusRecord]) {
+    pub fn push_records(&mut self, recs: &[BusRecord]) {
         for &rec in recs {
             self.push(rec);
         }
@@ -564,7 +564,7 @@ pub fn provenance_metrics(an: &TraceAnalysis, obs: Option<&RunObs>) -> Metrics {
         m.add(&format!("exhibit.fig8.{}.cpu{cpu}", source.label()), n);
     }
     // Figure 6 / D-cache sweeps: per-geometry, per-CPU splits (present
-    // only when the sweeps ran inline).
+    // only when the sweeps ran online).
     for (cfg, per_cpu) in figure6_configs().iter().zip(&p.fig6_per_cpu) {
         let kb = cfg.size_bytes / 1024;
         let way = cfg.assoc;
@@ -764,7 +764,7 @@ pub fn merge_hotlines_json(outputs: &[ReportOutput]) -> String {
 pub fn obs_from_artifacts(art: &RunArtifacts, an: &TraceAnalysis) -> RunObs {
     let tag = art.tag();
     let mut b = TimelineBuilder::new(art.machine_config.num_cpus as usize, art.measure_start);
-    b.push_chunk(&art.trace);
+    b.push_records(&art.trace);
     let (timeline, metrics, cpu_fills) = b.finish(art.measure_end);
     assemble_run_obs(&tag, timeline, metrics, cpu_fills, art, an, None)
 }
@@ -926,7 +926,7 @@ mod tests {
         recs.push(fill(0, 1200));
         recs.extend(escape(0, 1500, OsEvent::OpEnd));
         recs.extend(escape(0, 1500, OsEvent::ExitOs));
-        b.push_chunk(&recs);
+        b.push_records(&recs);
         let (tl, m, fills) = b.finish(2000);
 
         let modes: Vec<_> = tl.spans().iter().filter(|s| s.cat == "mode").collect();
@@ -961,7 +961,7 @@ mod tests {
         recs.extend(escape(0, 100, OsEvent::EnterIdle));
         recs.extend(escape(0, 300, OsEvent::ExitIdle));
         recs.extend(escape(0, 400, OsEvent::ExitOs));
-        b.push_chunk(&recs);
+        b.push_records(&recs);
         let (tl, _, _) = b.finish(500);
         let modes: Vec<_> = tl.spans().iter().filter(|s| s.cat == "mode").collect();
         let labels: Vec<&str> = modes.iter().map(|s| s.name.as_str()).collect();
@@ -989,7 +989,7 @@ mod tests {
         recs.extend(escape(0, 70, OsEvent::ExitIdle));
         recs.extend(escape(0, 90, OsEvent::OpEnd));
         recs.extend(escape(0, 95, OsEvent::ExitOs));
-        b.push_chunk(&recs);
+        b.push_records(&recs);
         let (tl, _, _) = b.finish(100);
         let ops: Vec<&str> = tl
             .spans()

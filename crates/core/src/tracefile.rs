@@ -58,6 +58,16 @@ fn read_u64(r: &mut impl Read) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Reads a header count stored as `u64` that must fit a `u8`.
+fn read_u8_field(r: &mut impl Read, name: &str) -> io::Result<u8> {
+    let v = read_u64(r)?;
+    u8::try_from(v).map_err(|_| invalid(format!("{name} {v} out of range")))
+}
+
 fn workload_code(w: WorkloadKind) -> u64 {
     match w {
         WorkloadKind::Pmake => 0,
@@ -124,18 +134,30 @@ pub fn save(art: &RunArtifacts, w: &mut impl Write) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns `InvalidData` for malformed files and propagates reader
-/// errors.
+/// errors. A file whose machine header fails
+/// [`MachineConfig::validate`], or whose CPU count disagrees with its
+/// records, is malformed: a record may not name a CPU beyond the
+/// header's count, and every counted CPU must issue at least one
+/// record (the trace-start state dump emits a pid escape on every CPU).
 pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
     }
-    let num_cpus = read_u64(r)? as u8;
-    let clusters = read_u64(r)? as u8;
+    let num_cpus = read_u8_field(r, "cpu count")?;
+    let clusters = read_u8_field(r, "cluster count")?;
     let remote_fill_extra = read_u64(r)?;
     let memory_bytes = read_u64(r)?;
-    let replicas = read_u64(r)? as u8;
+    let replicas = read_u8_field(r, "replica count")?;
+    let mut machine_config = MachineConfig::sgi_4d340();
+    machine_config.num_cpus = num_cpus;
+    machine_config.clusters = clusters.max(1);
+    machine_config.remote_fill_extra = remote_fill_extra;
+    machine_config.memory_bytes = memory_bytes;
+    machine_config
+        .validate()
+        .map_err(|e| invalid(format!("bad machine header: {e}")))?;
     let measure_start = read_u64(r)?;
     let measure_end = read_u64(r)?;
     let workload = workload_from(read_u64(r)?)?;
@@ -161,10 +183,18 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
     }
     let n = read_u64(r)? as usize;
     let mut trace = Vec::with_capacity(n.min(1 << 24));
+    let mut seen = [false; 256];
     for _ in 0..n {
         let time = read_u64(r)?;
         let mut b = [0u8; 2];
         r.read_exact(&mut b)?;
+        if b[0] >= num_cpus {
+            return Err(invalid(format!(
+                "record from cpu {} in a {num_cpus}-cpu trace",
+                b[0]
+            )));
+        }
+        seen[b[0] as usize] = true;
         let kind = kind_from(b[1])?;
         let paddr = PAddr::new(read_u64(r)?);
         let mut s = [0u8; 1];
@@ -177,12 +207,11 @@ pub fn load(r: &mut impl Read) -> io::Result<RunArtifacts> {
             sub: s[0],
         });
     }
-
-    let mut machine_config = MachineConfig::sgi_4d340();
-    machine_config.num_cpus = num_cpus;
-    machine_config.clusters = clusters.max(1);
-    machine_config.remote_fill_extra = remote_fill_extra;
-    machine_config.memory_bytes = memory_bytes;
+    if let Some(cpu) = (0..num_cpus).find(|&c| !seen[c as usize]) {
+        return Err(invalid(format!(
+            "header declares {num_cpus} cpus but cpu {cpu} issues no record"
+        )));
+    }
     let layout = Layout::with_order_and_replicas(memory_bytes, order, replicas.max(1));
     Ok(RunArtifacts {
         trace_records: trace.len() as u64,
@@ -248,5 +277,24 @@ mod tests {
         save(&art, &mut buf).expect("save");
         // 19 bytes per record plus a small header.
         assert!(buf.len() < art.trace.len() * 19 + 1024);
+    }
+
+    /// A 4-CPU trace whose header CPU count is patched: too few CPUs
+    /// for its records, too many for its records, a count that fails
+    /// machine validation, and one that does not fit the `u8` field.
+    #[test]
+    fn rejects_cpu_count_that_disagrees_with_the_records() {
+        let art = run(&ExperimentConfig::new(WorkloadKind::Pmake)
+            .warmup(1_000_000)
+            .measure(1_000_000));
+        let mut buf = Vec::new();
+        save(&art, &mut buf).expect("save");
+        assert!(load(&mut buf.as_slice()).is_ok());
+        for cpus in [2u64, 200, 0, 260] {
+            let mut bad = buf.clone();
+            bad[8..16].copy_from_slice(&cpus.to_le_bytes());
+            let err = load(&mut bad.as_slice()).expect_err("patched cpu count must be refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{cpus} cpus: {err}");
+        }
     }
 }

@@ -58,10 +58,21 @@ fn format_num(n: f64) -> String {
     }
 }
 
-/// Parses a JSON document. Errors carry a byte offset.
+/// Deepest array/object nesting [`parse_json`] accepts. Every export
+/// this crate writes nests at most a handful of levels; the bound keeps
+/// hostile input from overflowing the recursive parser's stack.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses a JSON document. Errors carry a byte offset. Documents
+/// nesting arrays/objects deeper than [`MAX_JSON_DEPTH`] levels are
+/// refused with an error.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let b = text.as_bytes();
-    let mut p = Parser { b, pos: 0 };
+    let mut p = Parser {
+        b,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -74,6 +85,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -111,8 +124,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth >= MAX_JSON_DEPTH => Err(format!(
+                "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => {
+                self.depth += 1;
+                let v = self.object();
+                self.depth -= 1;
+                v
+            }
+            Some(b'[') => {
+                self.depth += 1;
+                let v = self.array();
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.lit("true", JsonValue::Bool(true)),
             Some(b'f') => self.lit("false", JsonValue::Bool(false)),
@@ -537,6 +564,21 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} x").is_err());
         assert!(parse_json("nope").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let ok = format!(
+            "{}{}",
+            "[".repeat(MAX_JSON_DEPTH),
+            "]".repeat(MAX_JSON_DEPTH)
+        );
+        assert!(parse_json(&ok).is_ok());
+        let over = format!("{{\"a\": {ok}}}");
+        assert!(parse_json(&over).is_err());
     }
 
     #[test]

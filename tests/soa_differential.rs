@@ -1,8 +1,8 @@
 //! Differential tests for the batched SoA hot path: the production
 //! pipeline pushes records through the analyzer as structure-of-arrays
 //! blocks (`StreamAnalyzer::push_block`), and this file pins it
-//! byte-identical to the retained per-record reference path
-//! (`push_chunk`/`push`) across every export surface the CLI has —
+//! byte-identical to the retained per-record reference path (`push`)
+//! across every export surface the CLI has —
 //! report text, `--metrics-out`, `--trace-json`, `query`,
 //! `--provenance-out` — at `--jobs 1` and `--jobs 4`.
 
@@ -10,7 +10,7 @@ use oscar_core::analyze::{AnalyzeOptions, StreamAnalyzer, TraceMeta};
 use oscar_core::driver::{run_reports, ReportRequest};
 use oscar_core::observe::{merge_metrics_json, merge_provenance_json, merge_trace_json};
 use oscar_core::query::run_query;
-use oscar_core::{analyze, parallel_map, render_all, run, ExperimentConfig};
+use oscar_core::{parallel_map, render_all, run, ExperimentConfig};
 use oscar_machine::monitor::RecordBlock;
 use oscar_obs::query::QuerySpec;
 use oscar_workloads::WorkloadKind;
@@ -19,6 +19,19 @@ fn small(kind: WorkloadKind) -> ExperimentConfig {
     ExperimentConfig::new(kind)
         .warmup(2_000_000)
         .measure(2_500_000)
+}
+
+/// The per-record oracle: the materialized trace pushed through a fresh
+/// analyzer one record at a time.
+fn analyze_per_record(
+    art: &oscar_core::RunArtifacts,
+    opts: AnalyzeOptions,
+) -> oscar_core::TraceAnalysis {
+    let mut a = StreamAnalyzer::new(TraceMeta::of(art), opts);
+    for &rec in &art.trace {
+        a.push(rec);
+    }
+    a.finish()
 }
 
 /// Feeds a materialized trace through a fresh analyzer as SoA blocks of
@@ -44,9 +57,8 @@ fn analyze_blocked(
 fn block_path_matches_per_record_path_for_report_bytes() {
     for kind in [WorkloadKind::Pmake, WorkloadKind::Multpgm] {
         let art = run(&small(kind));
-        // Reference: the retained per-record path (`analyze` pushes one
-        // record at a time).
-        let reference = render_all(&art, &analyze(&art));
+        // Reference: the retained per-record path.
+        let reference = render_all(&art, &analyze_per_record(&art, AnalyzeOptions::default()));
         // Ragged block capacities so block boundaries land everywhere,
         // including mid-burst.
         for cap in [1usize, 777, 4096] {
@@ -62,17 +74,20 @@ fn block_path_matches_per_record_path_for_report_bytes() {
 
 #[test]
 fn block_path_matches_per_record_path_for_chunked_reference() {
-    // The other retained reference entry point: per-record AoS chunks
-    // via `push_chunk` against the same records as SoA blocks, at
-    // mismatched boundaries.
+    // Online sweeps replay staged resim items per block; the per-record
+    // path stages them all until `finish`. Both must land on the same
+    // sweep points and report bytes.
     let art = run(&small(WorkloadKind::Pmake));
-    let mut per_record = StreamAnalyzer::new(TraceMeta::of(&art), AnalyzeOptions::default());
-    for recs in art.trace.chunks(513) {
-        per_record.push_chunk(recs);
-    }
-    let reference = render_all(&art, &per_record.finish());
-    let an = analyze_blocked(&art, AnalyzeOptions::default(), 2048);
-    assert_eq!(render_all(&art, &an), reference);
+    let opts = AnalyzeOptions {
+        online_sweeps: true,
+        keep_streams: false,
+        ..AnalyzeOptions::default()
+    };
+    let reference = analyze_per_record(&art, opts.clone());
+    let an = analyze_blocked(&art, opts, 2048);
+    assert_eq!(an.fig6, reference.fig6);
+    assert_eq!(an.dcache, reference.dcache);
+    assert_eq!(render_all(&art, &an), render_all(&art, &reference));
 }
 
 #[test]
@@ -120,11 +135,7 @@ fn provenance_metrics_are_identical_on_both_paths() {
         provenance: true,
         ..AnalyzeOptions::default()
     };
-    let mut per_record = StreamAnalyzer::new(TraceMeta::of(&art), opts.clone());
-    for &rec in &art.trace {
-        per_record.push(rec);
-    }
-    let reference = per_record.finish();
+    let reference = analyze_per_record(&art, opts.clone());
     let blocked = analyze_blocked(&art, opts, 1024);
     let render = |an: &oscar_core::TraceAnalysis| {
         oscar_core::observe::provenance_metrics(an, None).to_json()
