@@ -703,7 +703,7 @@ pub struct StreamAnalyzer {
     /// Raw-field predicate applied before a row reaches the row sink
     /// (the query engine's pushdown; never affects analysis state).
     row_filter: Option<RecordFilter>,
-    /// Columnar evaluator for `row_filter`: one SIMD pass per block
+    /// Columnar evaluator for `row_filter`: one SWAR pass per block
     /// computes the pass bitmap the scalar [`StreamAnalyzer::emit_row`]
     /// checks, instead of re-evaluating the predicate per row.
     row_selector: Option<oscar_machine::BlockSelector>,
@@ -862,7 +862,7 @@ impl StreamAnalyzer {
         let time = rec.time.saturating_sub(self.meta.measure_start);
         if let Some(f) = &self.row_filter {
             if self.row_pass_valid {
-                // Block path: the SIMD pass bitmap already evaluated the
+                // Block path: the SWAR pass bitmap already evaluated the
                 // predicate for every lane of the in-flight block.
                 let i = self.row_idx;
                 if self.row_pass[i / 64] & (1u64 << (i % 64)) == 0 {
@@ -916,7 +916,7 @@ impl StreamAnalyzer {
         let n = block.len();
         // The skip bitmap marks lanes the dispatch loop never visits.
         // Without a row sink a write-back's only observable effect is
-        // the counter bump (see `handle`), so one SIMD prescan over the
+        // the counter bump (see `handle`), so one SWAR prescan over the
         // packed kind column bulk-counts and skips every write-back
         // lane. A row sink must see every record, write-backs too, so
         // the bitmap stays empty; its pushdown predicate is evaluated

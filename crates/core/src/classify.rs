@@ -322,7 +322,7 @@ impl ClassCounts {
 }
 
 /// Columnar kind-dispatch prescan for the analyzer's SoA hot loop:
-/// one [`oscar_machine::kindscan`] SWAR/SIMD pass over a block's packed
+/// one [`oscar_machine::kindscan`] SWAR pass over a block's packed
 /// kind column marks the write-back lanes, so the dispatch loop can
 /// bulk-count them (a write-back carries no classification state) and
 /// walk only the lanes that need the full access handler. Owns its

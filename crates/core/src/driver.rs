@@ -321,13 +321,6 @@ fn run_one(req: &ReportRequest) -> ReportOutput {
         req.config.warmup_cycles + req.config.measure_cycles,
         art.trace_records,
     );
-    if let (Some(obs), Some(p)) = (&obs, scratch.phases.last_mut()) {
-        let pl = &obs.pipeline;
-        p.chan_depth_max = Some(pl.depth_max);
-        if pl.depth_samples > 0 {
-            p.chan_depth_mean = Some(pl.depth_sum as f64 / pl.depth_samples as f64);
-        }
-    }
     phases.append(&mut scratch.phases);
     // Epoch mode reports its pass-1 sweep and every epoch re-execution
     // as extra timed phases (wall-clock only; never in the metrics).

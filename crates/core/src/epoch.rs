@@ -7,7 +7,7 @@
 //! `oscar_machine::snap` / `oscar_os::snap`:
 //!
 //! 1. a cheap *state-only* first pass (monitor disarmed — no records,
-//!    no staging, no sinks) sweeps the measured window on the producer
+//!    no staging, no sink) sweeps the measured window on the producer
 //!    thread and freezes machine+kernel state at every epoch boundary
 //!    (`--epoch-cycles` apart);
 //! 2. every epoch then *re-executes* from its boundary snapshot on a
@@ -16,13 +16,14 @@
 //!    (`TraceBuffer::record` never touches timing or kernel state) and
 //!    chained `run_until` calls at increasing horizons reproduce one
 //!    longer call, so worker state evolution is the serial trajectory;
-//! 3. an in-order feeder concatenates the per-epoch record vectors and
-//!    replays the monitor's staging cadence
-//!    ([`oscar_machine::monitor::SINK_BATCH`]) into the pipeline's
-//!    chunk sink, so chunk boundaries — and with them every downstream
+//! 3. an in-order feeder pushes the per-epoch record vectors, in epoch
+//!    order, straight into the pipeline's chunk sink. The sink cuts
+//!    chunks of exactly `chunk_records` records whatever the input
+//!    cadence, so chunk boundaries — and with them every downstream
 //!    byte: report, CSVs, `--metrics-out`, `--trace-json`, query and
 //!    provenance output — are identical to the serial path at any
-//!    `--jobs`.
+//!    `--jobs`. The analysis thread decodes the timeline from those
+//!    chunks exactly as it does serially.
 //!
 //! The same snapshots back the **checkpoint cache** (`--checkpoint-dir`):
 //! the post-warmup state is keyed by a configuration/format-revision
@@ -41,18 +42,17 @@ use std::thread;
 use std::time::Instant;
 
 use oscar_machine::fasthash::FxHasher;
-use oscar_machine::monitor::{BufferMode, BusRecord, TraceSink, SINK_BATCH};
+use oscar_machine::monitor::{BufferMode, BusRecord, TraceSink};
 use oscar_machine::snap::{SnapError, SnapReader, SnapWriter, SNAP_FORMAT_VERSION};
 use oscar_machine::Machine;
-use oscar_obs::{Metrics, Timeline};
+use oscar_obs::Metrics;
 use oscar_os::{KernelObsReport, OsWorld};
 
 use crate::analyze::TraceMeta;
 use crate::experiment::{run_until, ExperimentConfig, PreparedRun, RunArtifacts};
-use crate::observe::TimelineBuilder;
 use crate::pad::CachePadded;
 use crate::perf::PhaseStats;
-use crate::pipeline::{ChunkSink, StreamMsg};
+use crate::pipeline::{ChanCell, ChunkSink, StreamMsg};
 
 /// Checkpoint-cache accounting for one run: cache traffic plus the
 /// wall-clock cost of freezing and thawing state. Exported as
@@ -90,14 +90,12 @@ pub(crate) struct EpochPlan<'a> {
     pub jobs: usize,
     /// On-disk checkpoint cache, when enabled.
     pub checkpoint_dir: Option<&'a Path>,
-    /// Whether observability (kernel probes + live timeline) is on.
+    /// Whether observability (kernel probes) is on.
     pub observe: bool,
     /// Records per chunk on the analysis channel.
     pub chunk_records: usize,
-    /// Channel-depth gauge shared with the analysis loop.
-    pub depth: Option<Arc<AtomicUsize>>,
-    /// Producer stall accounting shared with the stage-stats reporter.
-    pub stall: Option<Arc<crate::pipeline::StallCell>>,
+    /// Channel state shared with the analysis loop.
+    pub chan: Arc<ChanCell>,
 }
 
 /// Hash of everything the simulated trajectory depends on. The debug
@@ -329,20 +327,14 @@ struct EpochOut {
 /// Runs the measured window through the two-pass epoch engine, feeding
 /// the exact record stream of the serial producer into `tx`. Returns
 /// the final artifacts (with epoch phase rows and checkpoint stats
-/// filled in), the kernel probe report, and the finished timeline —
-/// the same contract as the serial simulation stage in
-/// [`crate::pipeline::run_streaming`].
-#[allow(clippy::type_complexity)]
+/// filled in) and the kernel probe report — the same contract as the
+/// serial simulation stage in [`crate::pipeline::run_streaming`].
 pub(crate) fn run_epoch_producer(
     config: &ExperimentConfig,
     build: impl FnOnce() -> oscar_workloads::Workload,
     plan: EpochPlan<'_>,
     tx: SyncSender<StreamMsg>,
-) -> (
-    RunArtifacts,
-    Option<Box<KernelObsReport>>,
-    Option<(Timeline, Metrics, Vec<u64>)>,
-) {
+) -> (RunArtifacts, Option<Box<KernelObsReport>>) {
     let tag = config.tag();
     let mut stats = CheckpointStats::default();
     let epoch_cycles = plan.epoch_cycles.max(1);
@@ -394,14 +386,11 @@ pub(crate) fn run_epoch_producer(
     // Padded: the claim cursor must not share a line with the sink or
     // slot state the workers also touch.
     let next = CachePadded::new(AtomicUsize::new(0));
-    let sink = ChunkSink::new(tx, plan.chunk_records, plan.depth, plan.stall);
-    let timeline = plan
-        .observe
-        .then(|| TimelineBuilder::new(config.machine.num_cpus as usize, measure_start));
+    let sink = ChunkSink::new(tx, plan.chunk_records, plan.chan);
 
     let mut kernel_obs = None;
     let mut pass1_row = None;
-    let (total_seen, epoch_rows, built_timeline) = thread::scope(|s| {
+    let (total_seen, epoch_rows) = thread::scope(|s| {
         // Re-execution workers: claim epochs off a shared index, thaw
         // the boundary snapshot, replay the span with the monitor
         // armed. The restored kernel lives and dies on the worker
@@ -463,15 +452,12 @@ pub(crate) fn run_epoch_producer(
             });
         }
 
-        // In-order feeder: replays the monitor's staging cadence over
-        // the concatenated epoch records, so the chunk sink sees the
-        // byte-identical batch sequence of a serial run.
+        // In-order feeder: the concatenated epoch records go straight
+        // into the chunk sink, which cuts the serial run's chunks.
         let feeder = {
             let out_slots = Arc::clone(&out_slots);
             let mut sink = sink;
-            let mut timeline = timeline;
             s.spawn(move || {
-                let mut stage: Vec<BusRecord> = Vec::with_capacity(SINK_BATCH);
                 let mut total_seen = 0u64;
                 let mut rows = Vec::with_capacity(n_epochs);
                 for k in 0..n_epochs {
@@ -479,27 +465,14 @@ pub(crate) fn run_epoch_producer(
                     total_seen += out.seen;
                     rows.push((out.seen, out.wall_s));
                     for rec in out.records {
-                        stage.push(rec);
-                        if stage.len() >= SINK_BATCH {
-                            sink.record_batch(&stage);
-                            if let Some(b) = &mut timeline {
-                                b.push_records(&stage);
-                            }
-                            stage.clear();
-                        }
-                    }
-                }
-                if !stage.is_empty() {
-                    sink.record_batch(&stage);
-                    if let Some(b) = &mut timeline {
-                        b.push_records(&stage);
+                        sink.record(rec);
                     }
                 }
                 // Dropping the sink flushes its partial last chunk,
                 // exactly as detaching it from the monitor does
                 // serially, and closes the channel.
                 drop(sink);
-                (total_seen, rows, timeline)
+                (total_seen, rows)
             })
         };
 
@@ -569,6 +542,5 @@ pub(crate) fn run_epoch_producer(
     if plan.checkpoint_dir.is_some() {
         art.checkpoint = Some(stats);
     }
-    let built = built_timeline.map(|b| b.finish(art.measure_end));
-    (art, kernel_obs, built)
+    (art, kernel_obs)
 }

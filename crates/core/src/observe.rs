@@ -2,13 +2,14 @@
 //! monitor stream and assembling the metrics export.
 //!
 //! The [`TimelineBuilder`] is a second, independent consumer of the
-//! monitor's bus-record stream (attached through the monitor's sink
-//! fan-out): it runs its own escape [`Decoder`] and mirrors the
-//! analyzer's mode state machine to rebuild, per CPU, the
-//! user/OS/idle mode track, the operation-class segments (syscall
-//! classes, TLB-fault handling, interrupts), and a bus-occupancy
-//! counter track — everything a trace viewer needs to *see* the run
-//! the paper only reports in aggregate. Kernel-side probe data that
+//! monitor's bus-record stream: the streaming pipeline's analysis
+//! thread feeds it every chunk it feeds the analyzer (and
+//! [`obs_from_artifacts`] a saved trace). It runs its own escape
+//! [`Decoder`] and mirrors the analyzer's mode state machine to
+//! rebuild, per CPU, the user/OS/idle mode track, the operation-class
+//! segments (syscall classes, TLB-fault handling, interrupts), and a
+//! bus-occupancy counter track — everything a trace viewer needs to
+//! *see* the run the paper only reports in aggregate. Kernel-side probe data that
 //! the monitor cannot observe (lock spin/hold intervals ride the
 //! synchronization bus, which is invisible to the trace hardware —
 //! the paper's Section 2.2 point) is grafted on afterwards by
@@ -25,7 +26,7 @@ use std::collections::HashMap;
 
 use oscar_machine::monitor::BusRecord;
 use oscar_machine::BusKind;
-use oscar_obs::{Log2Histogram, Metrics, Timeline};
+use oscar_obs::{Metrics, Timeline};
 use oscar_os::{
     opcode_label, KernelObsReport, LockFamily, LockId, LockObsStats, LockPhase, LockSpan, OpClass,
     OsEvent, NUM_OPCODES,
@@ -349,9 +350,10 @@ impl TimelineBuilder {
 
 /// Everything observability collected for one run: the timeline, the
 /// deterministic metrics, and the per-lock profiles (for tooling like
-/// `examples/lock_timeline.rs`). Channel-depth samples are wall-clock
-/// artifacts and live in the perf summary instead — they would break
-/// the byte-identical-across-`--jobs` guarantee here.
+/// `examples/lock_timeline.rs`). Wall-clock pipeline accounting
+/// (channel depth, stall and starve times) lives in the perf summary's
+/// `stage/*` rows instead — it would break the
+/// byte-identical-across-`--jobs` guarantee here.
 #[derive(Debug, Clone, Default)]
 pub struct RunObs {
     /// Per-CPU timeline (modes, op segments, lock intervals, bus
@@ -367,10 +369,6 @@ pub struct RunObs {
     /// Cache fills per CPU over the measured window — the causal
     /// profiler's memory-stall estimate input.
     pub cpu_fills: Vec<u64>,
-    /// Streaming-pipeline self-observation. The deterministic half is
-    /// already folded into `metrics` (`pipeline.*`); the wall-clock
-    /// channel-depth half is read by the perf summary only.
-    pub pipeline: PipelineObs,
 }
 
 /// Combines the stream-side timeline and metrics with the analyzer's
@@ -518,7 +516,6 @@ pub fn assemble_run_obs(
         lock_profiles,
         lock_spans,
         cpu_fills,
-        pipeline: PipelineObs::default(),
     }
 }
 
@@ -859,35 +856,6 @@ pub fn hotline_table(h: &HotlineAnalysis, n: usize) -> String {
         );
     }
     s
-}
-
-/// A `Log2Histogram` of per-chunk record counts plus chunk totals,
-/// collected by the streaming pipeline when observability is on.
-#[derive(Debug, Default, Clone)]
-pub struct PipelineObs {
-    /// Chunks that crossed the channel.
-    pub chunks: u64,
-    /// Records across those chunks.
-    pub records: u64,
-    /// Distribution of per-chunk record counts.
-    pub chunk_size: Log2Histogram,
-    /// Highest observed channel depth (chunks in flight), wall-clock
-    /// dependent: reported through the perf summary only.
-    pub depth_max: u64,
-    /// Sum of sampled depths (for a mean), wall-clock dependent.
-    pub depth_sum: u64,
-    /// Number of depth samples taken.
-    pub depth_samples: u64,
-}
-
-impl PipelineObs {
-    /// Folds the deterministic half into `metrics` under `pipeline.*`.
-    /// The depth fields stay out: they depend on thread scheduling.
-    pub fn export_into(&self, metrics: &mut Metrics) {
-        metrics.add("pipeline.chunks", self.chunks);
-        metrics.add("pipeline.records", self.records);
-        metrics.insert_hist("pipeline.chunk_size", &self.chunk_size);
-    }
 }
 
 #[cfg(test)]

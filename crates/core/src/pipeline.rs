@@ -4,14 +4,25 @@
 //! [`crate::experiment::run`] materializes the whole monitor trace
 //! (hundreds of bytes per thousand cycles) before [`crate::analyze()`]
 //! consumes it, so peak memory scales with the measured horizon.
-//! [`run_streaming`] instead attaches a chunking [`TraceSink`] to the
+//! [`run_streaming`] instead attaches one chunking [`TraceSink`] to the
 //! machine's monitor: the simulation thread produces [`BusRecord`]s,
-//! the sink batches them into chunks on a bounded channel, and the
-//! analysis thread feeds them into a [`StreamAnalyzer`]. Backpressure
-//! from the bounded channel keeps peak memory constant regardless of
-//! trace length — the paper's master-process protocol (ship trace
-//! segments off the machine before the 2M-record buffer fills) played
-//! the same role for the real monitor.
+//! the sink cuts them into chunks of exactly
+//! [`StreamOptions::chunk_records`] records on a bounded channel, and
+//! the analysis thread feeds every chunk to a [`StreamAnalyzer`] and,
+//! with observability on, to a [`TimelineBuilder`]. The producer is the
+//! measured critical path, so it does nothing but simulate and stage;
+//! every decode of the record stream happens on the analysis thread.
+//! Backpressure from the bounded channel keeps peak memory constant
+//! regardless of trace length — the paper's master-process protocol
+//! (ship trace segments off the machine before the 2M-record buffer
+//! fills) played the same role for the real monitor.
+//!
+//! The channel is accounted once, always: one `try_send` probe per
+//! chunk on the producer (stall time), one `try_recv` probe per chunk
+//! on the analysis thread (starve time, depth, chunk sizes).
+//! [`StreamOptions::observe`] only decides whether the deterministic
+//! `pipeline.*` half is exported, [`StreamOptions::stage_stats`] only
+//! whether the wall-clock `stage/*` rows are.
 //!
 //! Both the simulation and the analysis are deterministic, so the
 //! streamed result is byte-identical to the batch path; the tests (and
@@ -19,22 +30,25 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use oscar_machine::monitor::{BusRecord, RecordBlock, RecordFilter, TraceSink};
+use oscar_obs::{Log2Histogram, Metrics};
 
 use crate::analyze::{AnalyzeOptions, RowSink, StreamAnalyzer, TraceAnalysis, TraceMeta};
 use crate::experiment::{ExperimentConfig, RunArtifacts};
-use crate::observe::{assemble_run_obs, PipelineObs, TimelineBuilder};
+use crate::observe::{assemble_run_obs, TimelineBuilder};
 use crate::perf::PhaseStats;
 
 /// Tuning of the streaming pipeline.
 #[derive(Debug, Clone)]
 pub struct StreamOptions {
-    /// Records batched per channel message (amortizes channel
-    /// synchronization; the value does not affect results).
+    /// Records per channel message: the sink cuts the monitor stream
+    /// into chunks of exactly this many records (only the last may be
+    /// shorter). Amortizes channel synchronization; the value does not
+    /// affect results.
     pub chunk_records: usize,
     /// Channel capacity in chunks: the producer stalls once this many
     /// chunks are in flight, bounding peak memory.
@@ -48,11 +62,11 @@ pub struct StreamOptions {
     pub online_sweeps: bool,
     /// Keep the materialized `istream`/`dstream` in the analysis.
     pub keep_streams: bool,
-    /// Enable observability: kernel probes, a live timeline decoder on
-    /// the monitor stream (second sink via the fan-out), and pipeline
-    /// self-metrics, delivered in [`RunArtifacts::obs`]. Off by
-    /// default; when off no probe state is allocated and no per-record
-    /// work happens.
+    /// Enable observability: kernel probes, the per-CPU timeline
+    /// (decoded on the analysis thread from the chunks the analyzer
+    /// sees), and the `pipeline.*` self-metrics, delivered in
+    /// [`RunArtifacts::obs`]. Off by default; when off no probe state
+    /// is allocated and no per-record work happens.
     pub observe: bool,
     /// Accumulate per-cell exhibit provenance
     /// ([`crate::analyze::ExhibitProvenance`]) while analyzing; off by
@@ -80,11 +94,11 @@ pub struct StreamOptions {
     /// off). `None` disables caching. Cache traffic is reported in
     /// [`RunArtifacts::checkpoint`].
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Collect per-stage occupancy rows
-    /// ([`RunArtifacts::stage_phases`]): wall/stall/starve seconds and
-    /// channel-depth samples for the producer and the analysis loop.
-    /// Costs one `try_send`/`try_recv` probe per channel operation; off
-    /// by default and free when off. Never affects results.
+    /// Report per-stage occupancy rows
+    /// ([`RunArtifacts::stage_phases`]): wall/stall/starve seconds for
+    /// the producer and the analysis loop, plus channel depth on the
+    /// analysis row. The channel is accounted either way; this only
+    /// decides whether the rows are reported. Never affects results.
     pub stage_stats: bool,
 }
 
@@ -108,75 +122,90 @@ impl Default for StreamOptions {
     }
 }
 
-/// Producer-side stall accounting for one bounded channel: how often
-/// and for how long the sender blocked on a full channel. Shared
-/// `Arc`-wise between the stage that sends and the coordinator that
-/// reports.
+/// Producer-side channel state, shared `Arc`-wise between the chunk
+/// sink (which sends) and the analysis loop (which receives and
+/// reports).
 #[derive(Debug, Default)]
-pub(crate) struct StallCell {
-    /// Sends that found the channel full and had to block.
-    pub stalls: AtomicU64,
-    /// Nanoseconds spent blocked in those sends.
-    pub stall_ns: AtomicU64,
+pub(crate) struct ChanCell {
+    /// Chunks sent and not yet received.
+    in_flight: AtomicUsize,
+    /// Nanoseconds the producer spent blocked on a full channel.
+    stall_ns: AtomicU64,
 }
 
-impl StallCell {
-    /// Seconds spent blocked.
-    fn stall_s(&self) -> f64 {
-        self.stall_ns.load(Ordering::Relaxed) as f64 / 1e9
-    }
-}
-
-/// Consumer-side occupancy accumulator for one pipeline stage.
+/// The channel's one accumulator, owned by the analysis loop: the
+/// producer-side cell it shares with the sink, plus lifetime, starve
+/// time, depth samples and chunk tallies, one update per received
+/// chunk.
 #[derive(Debug, Default)]
-struct StageAcc {
-    /// Total stage lifetime.
+struct ChanAcc {
+    /// Shared with the [`ChunkSink`].
+    cell: Arc<ChanCell>,
+    /// Total analysis-loop lifetime.
     wall: Duration,
-    /// Time blocked receiving from an empty upstream channel.
+    /// Time blocked receiving from an empty channel.
     starve: Duration,
-    /// Records processed.
+    /// Chunks received.
+    chunks: u64,
+    /// Records across those chunks.
     records: u64,
-    /// Upstream channel depth samples, taken at each receive.
+    /// Distribution of per-chunk record counts.
+    chunk_size: Log2Histogram,
+    /// Channel depth (chunks in flight, including the one received)
+    /// sampled at each receive.
     depth_max: u64,
     depth_sum: u64,
-    depth_samples: u64,
 }
 
-impl StageAcc {
-    fn sample_depth(&mut self, depth: u64) {
-        self.depth_max = self.depth_max.max(depth);
-        self.depth_sum += depth;
-        self.depth_samples += 1;
+impl ChanAcc {
+    /// Receives one message, charging any blocking wait to
+    /// [`ChanAcc::starve`]. `None` once the channel is closed and
+    /// drained.
+    fn recv(&mut self, rx: &Receiver<StreamMsg>) -> Option<StreamMsg> {
+        match rx.try_recv() {
+            Ok(m) => Some(m),
+            Err(TryRecvError::Empty) => {
+                let t0 = Instant::now();
+                let r = rx.recv().ok();
+                self.starve += t0.elapsed();
+                r
+            }
+            Err(TryRecvError::Disconnected) => None,
+        }
     }
 
-    /// Renders the accumulator as a `stage/<id>` perf row.
-    fn row(&self, id: String) -> PhaseStats {
+    /// Tallies one received chunk of `len` records, releasing its
+    /// channel slot.
+    fn chunk(&mut self, len: usize) {
+        let depth = self.cell.in_flight.fetch_sub(1, Ordering::Relaxed) as u64;
+        self.depth_max = self.depth_max.max(depth);
+        self.depth_sum += depth;
+        self.chunks += 1;
+        self.records += len as u64;
+        self.chunk_size.record(len as u64);
+    }
+
+    /// Folds the deterministic half into `metrics` under `pipeline.*`;
+    /// wall-clock times and depths stay out (they depend on thread
+    /// scheduling).
+    fn export_into(&self, metrics: &mut Metrics) {
+        metrics.add("pipeline.chunks", self.chunks);
+        metrics.add("pipeline.records", self.records);
+        metrics.insert_hist("pipeline.chunk_size", &self.chunk_size);
+    }
+
+    /// Renders the accumulator as the `stage/analyze` perf row.
+    fn row(&self) -> PhaseStats {
         PhaseStats {
-            id,
+            id: "stage/analyze".into(),
             wall_s: self.wall.as_secs_f64(),
             cycles: 0,
             records: self.records,
-            chan_depth_max: (self.depth_samples > 0).then_some(self.depth_max),
-            chan_depth_mean: (self.depth_samples > 0)
-                .then(|| self.depth_sum as f64 / self.depth_samples as f64),
+            chan_depth_max: (self.chunks > 0).then_some(self.depth_max),
+            chan_depth_mean: (self.chunks > 0).then(|| self.depth_sum as f64 / self.chunks as f64),
             stall_s: None,
             starve_s: Some(self.starve.as_secs_f64()),
         }
-    }
-}
-
-/// Receives one message, charging any blocking wait to `acc.starve`.
-/// `None` once the channel is closed and drained.
-fn recv_timed<T>(rx: &Receiver<T>, acc: &mut StageAcc) -> Option<T> {
-    match rx.try_recv() {
-        Ok(m) => Some(m),
-        Err(TryRecvError::Empty) => {
-            let t0 = Instant::now();
-            let r = rx.recv().ok();
-            acc.starve += t0.elapsed();
-            r
-        }
-        Err(TryRecvError::Disconnected) => None,
     }
 }
 
@@ -191,66 +220,44 @@ pub(crate) enum StreamMsg {
     Block(RecordBlock),
 }
 
-/// A [`TraceSink`] that batches records into chunks on a bounded
-/// channel. Dropping the sink (detaching it from the monitor) flushes
-/// the partial last chunk and, once the last sender is gone, closes the
-/// channel. The epoch feeder ([`crate::epoch`]) drives one directly.
+/// A [`TraceSink`] that cuts the record stream into chunks of exactly
+/// `cap` records on a bounded channel. Incoming blocks are cut by lane
+/// range, column slice by column slice, never reassembled into
+/// records: the cut runs on the producer thread. Dropping the sink
+/// (detaching it from the monitor) flushes the partial last chunk and,
+/// once the last sender is gone, closes the channel. The epoch feeder
+/// ([`crate::epoch`]) drives one directly.
 pub(crate) struct ChunkSink {
     buf: RecordBlock,
     cap: usize,
     tx: SyncSender<StreamMsg>,
-    /// Chunks in flight on the channel, shared with the analysis loop
-    /// for depth sampling (observability or stage stats only).
-    depth: Option<Arc<AtomicUsize>>,
-    /// Stall accounting for the producer stage (stage stats only).
-    stall: Option<Arc<StallCell>>,
+    chan: Arc<ChanCell>,
 }
 
 impl ChunkSink {
-    pub(crate) fn new(
-        tx: SyncSender<StreamMsg>,
-        cap: usize,
-        depth: Option<Arc<AtomicUsize>>,
-        stall: Option<Arc<StallCell>>,
-    ) -> Self {
+    pub(crate) fn new(tx: SyncSender<StreamMsg>, cap: usize, chan: Arc<ChanCell>) -> Self {
         let cap = cap.max(1);
         ChunkSink {
             buf: RecordBlock::with_capacity(cap),
             cap,
             tx,
-            depth,
-            stall,
+            chan,
         }
     }
 
-    fn send(&mut self, chunk: RecordBlock) {
-        if let Some(d) = &self.depth {
-            d.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Sends the open chunk, charging any wait on a full channel to the
+    /// producer's stall time.
+    fn ship(&mut self) {
+        let chunk = std::mem::replace(&mut self.buf, RecordBlock::with_capacity(self.cap));
+        self.chan.in_flight.fetch_add(1, Ordering::Relaxed);
         // A closed channel means the analysis side is gone
         // (panicked); nothing useful to do with the records.
-        match &self.stall {
-            None => {
-                self.tx.send(StreamMsg::Block(chunk)).ok();
-            }
-            Some(cell) => match self.tx.try_send(StreamMsg::Block(chunk)) {
-                Ok(()) => {}
-                Err(TrySendError::Full(msg)) => {
-                    let t0 = Instant::now();
-                    self.tx.send(msg).ok();
-                    cell.stalls.fetch_add(1, Ordering::Relaxed);
-                    cell.stall_ns
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-                Err(TrySendError::Disconnected(_)) => {}
-            },
-        }
-    }
-
-    fn flush_full(&mut self) {
-        if self.buf.len() >= self.cap {
-            let chunk = std::mem::replace(&mut self.buf, RecordBlock::with_capacity(self.cap));
-            self.send(chunk);
+        if let Err(TrySendError::Full(msg)) = self.tx.try_send(StreamMsg::Block(chunk)) {
+            let t0 = Instant::now();
+            self.tx.send(msg).ok();
+            self.chan
+                .stall_ns
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 }
@@ -258,73 +265,28 @@ impl ChunkSink {
 impl TraceSink for ChunkSink {
     fn record(&mut self, rec: BusRecord) {
         self.buf.push(rec);
-        self.flush_full();
-    }
-
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        for &rec in recs {
-            self.buf.push(rec);
+        if self.buf.len() == self.cap {
+            self.ship();
         }
-        self.flush_full();
     }
 
     fn record_block(&mut self, block: &RecordBlock) {
-        self.buf.append(block);
-        self.flush_full();
+        let mut lane = 0;
+        while lane < block.len() {
+            let take = (self.cap - self.buf.len()).min(block.len() - lane);
+            self.buf.append_range(block, lane..lane + take);
+            lane += take;
+            if self.buf.len() == self.cap {
+                self.ship();
+            }
+        }
     }
 }
 
 impl Drop for ChunkSink {
     fn drop(&mut self) {
         if !self.buf.is_empty() {
-            let chunk = std::mem::take(&mut self.buf);
-            self.send(chunk);
-        }
-    }
-}
-
-/// A second [`TraceSink`] (attached through the monitor's fan-out) that
-/// feeds every record to a [`TimelineBuilder`]. The builder lives in a
-/// shared slot so the producer can reclaim it after the monitor drops
-/// the sink; the mutex is uncontended — only the simulation thread
-/// touches it while the sink is attached.
-struct TimelineSink {
-    builder: Arc<Mutex<Option<TimelineBuilder>>>,
-}
-
-impl TraceSink for TimelineSink {
-    fn record(&mut self, rec: BusRecord) {
-        if let Some(b) = self
-            .builder
-            .lock()
-            .expect("timeline builder poisoned")
-            .as_mut()
-        {
-            b.push(rec);
-        }
-    }
-
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        if let Some(b) = self
-            .builder
-            .lock()
-            .expect("timeline builder poisoned")
-            .as_mut()
-        {
-            b.push_records(recs);
-        }
-    }
-
-    fn record_block(&mut self, block: &RecordBlock) {
-        if let Some(b) = self
-            .builder
-            .lock()
-            .expect("timeline builder poisoned")
-            .as_mut()
-        {
-            for rec in block.iter() {
-                b.push(rec);
-            }
+            self.ship();
         }
     }
 }
@@ -392,11 +354,8 @@ fn run_streaming_inner(
     let chunk_records = opts.chunk_records.max(1);
     let (tx, rx) = sync_channel::<StreamMsg>(opts.channel_chunks.max(1));
     let observe = opts.observe;
-    let stage_stats = opts.stage_stats;
-    let chan_depth = (observe || stage_stats).then(|| Arc::new(AtomicUsize::new(0)));
-    let producer_depth = chan_depth.clone();
-    let stall = stage_stats.then(|| Arc::new(StallCell::default()));
-    let producer_stall = stall.clone();
+    let mut acc = ChanAcc::default();
+    let producer_chan = Arc::clone(&acc.cell);
     let epoch_cycles = opts.epoch_cycles;
     let epoch_jobs = opts.epoch_jobs.max(1);
     let checkpoint_dir = opts.checkpoint_dir.clone();
@@ -409,7 +368,7 @@ fn run_streaming_inner(
         let producer = s.spawn(move || {
             let prod_t0 = Instant::now();
             if epoch_cycles > 0 {
-                let (art, kernel_obs, built) = crate::epoch::run_epoch_producer(
+                let (art, kernel_obs) = crate::epoch::run_epoch_producer(
                     config,
                     build,
                     crate::epoch::EpochPlan {
@@ -418,12 +377,11 @@ fn run_streaming_inner(
                         checkpoint_dir: checkpoint_dir.as_deref(),
                         observe,
                         chunk_records,
-                        depth: producer_depth,
-                        stall: producer_stall,
+                        chan: producer_chan,
                     },
                     tx,
                 );
-                return (art, kernel_obs, built, prod_t0.elapsed());
+                return (art, kernel_obs, prod_t0.elapsed());
             }
             let mut ckpt = crate::epoch::CheckpointStats::default();
             let mut prep =
@@ -436,112 +394,76 @@ fn run_streaming_inner(
                 measure_end: measure_start + config.measure_cycles,
             };
             tx.send(StreamMsg::Meta(Box::new(meta))).ok();
-            // Observability attaches only for the measured window, so
-            // warm-up never pollutes the probes or the timeline.
-            let obs_slot = observe.then(|| {
+            // Probes attach only for the measured window, so warm-up
+            // never pollutes them.
+            if observe {
                 prep.os.enable_obs(measure_start);
-                Arc::new(Mutex::new(Some(TimelineBuilder::new(
-                    config.machine.num_cpus as usize,
-                    measure_start,
-                ))))
-            });
+            }
             prep.machine.monitor_mut().set_sink(Box::new(ChunkSink::new(
                 tx,
                 chunk_records,
-                producer_depth,
-                producer_stall,
+                producer_chan,
             )));
-            if let Some(slot) = &obs_slot {
-                prep.machine.monitor_mut().add_sink(Box::new(TimelineSink {
-                    builder: Arc::clone(slot),
-                }));
-            }
             prep.measure();
             let kernel_obs = prep.os.take_obs(measure_start + config.measure_cycles);
-            // finish() detaches (and so flushes) the sinks; the channel
+            // finish() detaches (and so flushes) the sink; the channel
             // closes when the sink's sender drops.
             let mut art = prep.finish();
             if checkpoint_dir.is_some() {
                 art.checkpoint = Some(ckpt);
             }
-            let built = obs_slot
-                .and_then(|slot| slot.lock().expect("timeline builder poisoned").take())
-                .map(|b| b.finish(art.measure_end));
-            (art, kernel_obs, built, prod_t0.elapsed())
+            (art, kernel_obs, prod_t0.elapsed())
         });
 
-        // Analysis stage, on the calling thread.
+        // Analysis stage, on the calling thread: every chunk goes to the
+        // analyzer and, with observability on, the timeline builder.
         let mut analyzer: Option<StreamAnalyzer> = None;
+        let mut timeline: Option<TimelineBuilder> = None;
         let mut kept: Vec<BusRecord> = Vec::new();
-        let mut pobs = observe.then(PipelineObs::default);
-        let mut an_acc = stage_stats.then(StageAcc::default);
         let an_t0 = Instant::now();
         let mut row_hook = row_hook;
-        loop {
-            let msg = match &mut an_acc {
-                Some(acc) => match recv_timed(&rx, acc) {
-                    Some(m) => m,
-                    None => break,
-                },
-                None => match rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break,
-                },
-            };
+        while let Some(msg) = acc.recv(&rx) {
             match msg {
                 StreamMsg::Meta(meta) => {
+                    if observe {
+                        timeline = Some(TimelineBuilder::new(
+                            meta.machine_config.num_cpus as usize,
+                            meta.measure_start,
+                        ));
+                    }
                     let mut a = StreamAnalyzer::new(*meta, aopts.clone());
                     if let Some((filter, sink)) = row_hook.take() {
                         a.set_row_sink(filter, sink);
                     }
                     analyzer = Some(a);
                 }
-                StreamMsg::Block(recs) => {
-                    // Sample the in-flight count (including this chunk)
-                    // before releasing the slot.
-                    let depth_now = chan_depth
-                        .as_ref()
-                        .map(|d| d.fetch_sub(1, Ordering::Relaxed) as u64);
-                    if let Some(p) = &mut pobs {
-                        p.chunks += 1;
-                        p.records += recs.len() as u64;
-                        p.chunk_size.record(recs.len() as u64);
-                        if let Some(depth) = depth_now {
-                            p.depth_max = p.depth_max.max(depth);
-                            p.depth_sum += depth;
-                            p.depth_samples += 1;
-                        }
-                    }
-                    if let Some(acc) = &mut an_acc {
-                        acc.records += recs.len() as u64;
-                        if let Some(depth) = depth_now {
-                            acc.sample_depth(depth);
-                        }
-                    }
-                    let a = analyzer
+                StreamMsg::Block(block) => {
+                    acc.chunk(block.len());
+                    analyzer
                         .as_mut()
-                        .expect("trace metadata must precede records");
-                    a.push_block(&recs);
+                        .expect("trace metadata must precede records")
+                        .push_block(&block);
+                    if let Some(b) = &mut timeline {
+                        for rec in block.iter() {
+                            b.push(rec);
+                        }
+                    }
                     if opts.keep_trace {
-                        kept.extend(recs.iter());
+                        kept.extend(block.iter());
                     }
                 }
             }
         }
-        if let Some(acc) = &mut an_acc {
-            acc.wall = an_t0.elapsed();
-        }
+        acc.wall = an_t0.elapsed();
 
-        let (mut art, kernel_obs, built, prod_wall) =
-            producer.join().expect("simulation thread panicked");
+        let (mut art, kernel_obs, prod_wall) = producer.join().expect("simulation thread panicked");
         let an = analyzer
             .expect("simulation ended without trace metadata")
             .finish();
         if opts.keep_trace {
             art.trace = kept;
         }
-        if stage_stats {
-            let cell = stall.as_ref().expect("stage stats allocate a stall cell");
+        if opts.stage_stats {
             art.stage_phases.push(PhaseStats {
                 id: "stage/produce".into(),
                 wall_s: prod_wall.as_secs_f64(),
@@ -549,22 +471,26 @@ fn run_streaming_inner(
                 records: art.trace_records,
                 chan_depth_max: None,
                 chan_depth_mean: None,
-                stall_s: Some(cell.stall_s()),
+                stall_s: Some(acc.cell.stall_ns.load(Ordering::Relaxed) as f64 / 1e9),
                 starve_s: None,
             });
-            if let Some(acc) = &an_acc {
-                art.stage_phases.push(acc.row("stage/analyze".into()));
-            }
+            art.stage_phases.push(acc.row());
         }
-        if let (Some(p), Some((timeline, mut metrics, cpu_fills))) = (pobs, built) {
-            let tag = config.tag();
-            p.export_into(&mut metrics);
+        if let Some(b) = timeline {
+            let (timeline, mut metrics, cpu_fills) = b.finish(art.measure_end);
+            acc.export_into(&mut metrics);
             if let Some(cs) = &art.checkpoint {
                 cs.export_into(&mut metrics);
             }
-            let mut obs =
-                assemble_run_obs(&tag, timeline, metrics, cpu_fills, &art, &an, kernel_obs);
-            obs.pipeline = p;
+            let obs = assemble_run_obs(
+                &config.tag(),
+                timeline,
+                metrics,
+                cpu_fills,
+                &art,
+                &an,
+                kernel_obs,
+            );
             art.obs = Some(Box::new(obs));
         }
         (art, an)

@@ -185,7 +185,7 @@ impl fmt::Display for BlockAddr {
 
 /// A CPU identifier (0-based; the default 4D/340 machine has four CPUs).
 /// `repr(transparent)`: a column of CPU IDs is byte-for-byte a `u8`
-/// column, which the [`crate::kindscan`] scan kernels rely on.
+/// column, which the [`crate::kindscan`] scan kernel relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct CpuId(pub u8);

@@ -1,150 +1,60 @@
-//! SWAR / SIMD scan kernels over packed byte columns.
+//! SWAR scan kernel over packed byte columns.
 //!
 //! The monitor stages records as structure-of-arrays columns
 //! ([`crate::monitor::RecordBlock`]), so the hot consumers — the
-//! analyzer's kind-dispatch loop, [`crate::monitor::FilteredSink`], the
-//! query engine's pushed-down [`crate::monitor::RecordFilter`] — all
-//! scan a contiguous `&[u8]` asking one question: *which lanes hold one
-//! of these byte values?* This module answers it 64 lanes per output
-//! word, three ways:
+//! analyzer's kind-dispatch loop and the query engine's pushed-down
+//! [`crate::monitor::RecordFilter`] (via
+//! [`crate::monitor::BlockSelector`]) — scan a contiguous `&[u8]`
+//! asking one question: *which lanes hold one of these byte values?*
+//! This module answers it 64 lanes per output word with one portable
+//! kernel, [`select_eq_any`]: eight lanes per `u64` using an exact
+//! zero-byte mask (`(y & 0x7f..) + 0x7f.. | y`, no cross-lane carries,
+//! so no false positives) and a multiply-gather movemask.
 //!
-//! - **scalar**: one byte at a time. The reference implementation every
-//!   other backend is differentially tested against (and the tail
-//!   handler for the vector paths).
-//! - **SWAR**: eight lanes per `u64` using an exact zero-byte mask
-//!   (`(y & 0x7f..) + 0x7f.. | y`, no cross-lane carries, so no false
-//!   positives) and a multiply-gather movemask. Portable — this is the
-//!   default on non-x86 targets.
-//! - **`std::arch` x86_64**: `_mm_cmpeq_epi8`/`_mm_movemask_epi8` over
-//!   16 lanes (SSE2, baseline on x86_64) or 32 lanes (AVX2, behind
-//!   [`std::arch::is_x86_feature_detected!`]).
-//!
-//! The backend is picked once per process ([`active_backend`]); every
-//! backend produces bit-identical bitmaps (the differential tests in
-//! this module and `machine_micro`'s `kindscan/*` bench group hold the
-//! equivalence and the speed respectively).
-
-use std::sync::OnceLock;
-
-/// Which scan implementation services [`select_eq_any`] / [`count_eq`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Byte-at-a-time reference loop.
-    Scalar,
-    /// Eight-lane SWAR over `u64` words.
-    Swar,
-    /// 16-lane SSE2 (`x86_64` baseline).
-    Sse2,
-    /// 32-lane AVX2 (runtime-detected).
-    Avx2,
-}
-
-impl Backend {
-    /// Short display name (bench labels, logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Swar => "swar",
-            Backend::Sse2 => "sse2",
-            Backend::Avx2 => "avx2",
-        }
-    }
-}
-
-/// The backend the dispatching entry points use, chosen once per
-/// process: AVX2 if the CPU has it, SSE2 otherwise on x86_64, SWAR
-/// elsewhere.
-pub fn active_backend() -> Backend {
-    static ACTIVE: OnceLock<Backend> = OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                Backend::Avx2
-            } else {
-                Backend::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Backend::Swar
-        }
-    })
-}
-
-/// The backends available on this host (for differential tests and
-/// benches): always scalar and SWAR, plus the x86_64 vector paths the
-/// CPU supports.
-pub fn available_backends() -> Vec<Backend> {
-    let mut v = vec![Backend::Scalar, Backend::Swar];
-    #[cfg(target_arch = "x86_64")]
-    {
-        v.push(Backend::Sse2);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            v.push(Backend::Avx2);
-        }
-    }
-    v
-}
+//! [`select_eq_any_scalar`], one byte at a time, is the reference the
+//! kernel is differentially tested against (and the baseline of
+//! `machine_micro`'s `kindscan/*` bench group). SSE2/AVX2 kernels were
+//! measured and removed: they saved at most about 0.6 ns per record, a
+//! few milliseconds per run on a thread that is not the critical path
+//! (EXPERIMENTS.md, "Removed: SSE2/AVX2 kind scan").
 
 /// Builds the lane bitmap of `codes` positions holding any of `values`:
 /// `out` gets `ceil(codes.len() / 64)` words, bit `i` of word `w` set
 /// iff `codes[64 * w + i]` equals one of `values`. Bits past the end of
 /// the column are zero. `out` is cleared first.
 pub fn select_eq_any(codes: &[u8], values: &[u8], out: &mut Vec<u64>) {
-    select_eq_any_with(active_backend(), codes, values, out);
-}
-
-/// [`select_eq_any`] on an explicit backend.
-///
-/// # Panics
-///
-/// Panics if `backend` names a vector path this CPU does not support
-/// (guard with [`available_backends`]).
-pub fn select_eq_any_with(backend: Backend, codes: &[u8], values: &[u8], out: &mut Vec<u64>) {
     out.clear();
     out.resize(codes.len().div_ceil(64), 0);
-    match backend {
-        Backend::Scalar => select_scalar(codes, values, out),
-        Backend::Swar => select_swar(codes, values, out),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { select_sse2(codes, values, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            assert!(
-                std::arch::is_x86_feature_detected!("avx2"),
-                "avx2 backend requested without CPU support"
-            );
-            unsafe { select_avx2(codes, values, out) }
+    let mut chunks = codes.chunks_exact(8);
+    let mut lane = 0usize;
+    for chunk in &mut chunks {
+        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
+        let mut m = 0u64;
+        for &v in values {
+            m |= swar_eq(x, broadcast(v));
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => select_scalar(codes, values, out),
+        out[lane / 64] |= swar_movemask(m) << (lane % 64);
+        lane += 8;
     }
+    select_tail(chunks.remainder(), lane, values, out);
 }
 
-/// Counts the `codes` lanes equal to `value`.
-pub fn count_eq(codes: &[u8], value: u8) -> u64 {
-    count_eq_with(active_backend(), codes, value)
+/// The byte-at-a-time reference for [`select_eq_any`]: same contract,
+/// same output bits.
+pub fn select_eq_any_scalar(codes: &[u8], values: &[u8], out: &mut Vec<u64>) {
+    out.clear();
+    out.resize(codes.len().div_ceil(64), 0);
+    select_tail(codes, 0, values, out);
 }
 
-/// [`count_eq`] on an explicit backend (same support caveat as
-/// [`select_eq_any_with`]).
-pub fn count_eq_with(backend: Backend, codes: &[u8], value: u8) -> u64 {
-    match backend {
-        Backend::Scalar => codes.iter().filter(|&&c| c == value).count() as u64,
-        Backend::Swar => count_swar(codes, value),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { count_sse2(codes, value) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            assert!(
-                std::arch::is_x86_feature_detected!("avx2"),
-                "avx2 backend requested without CPU support"
-            );
-            unsafe { count_avx2(codes, value) }
+/// Sets the bit of every lane of `codes` (lane numbers starting at
+/// `first`) that holds one of `values`.
+fn select_tail(codes: &[u8], first: usize, values: &[u8], out: &mut [u64]) {
+    for (i, &c) in codes.iter().enumerate() {
+        if values.contains(&c) {
+            let j = first + i;
+            out[j / 64] |= 1u64 << (j % 64);
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => codes.iter().filter(|&&c| c == value).count() as u64,
     }
 }
 
@@ -164,14 +74,6 @@ pub fn ones(len: usize, out: &mut Vec<u64>) {
 /// Total set bits across a bitmap.
 pub fn popcount(bitmaps: &[u64]) -> u64 {
     bitmaps.iter().map(|w| u64::from(w.count_ones())).sum()
-}
-
-fn select_scalar(codes: &[u8], values: &[u8], out: &mut [u64]) {
-    for (i, &c) in codes.iter().enumerate() {
-        if values.contains(&c) {
-            out[i / 64] |= 1u64 << (i % 64);
-        }
-    }
 }
 
 const LO7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
@@ -199,113 +101,6 @@ fn broadcast(v: u8) -> u64 {
     u64::from(v) * 0x0101_0101_0101_0101
 }
 
-fn select_swar(codes: &[u8], values: &[u8], out: &mut [u64]) {
-    let mut chunks = codes.chunks_exact(8);
-    let mut lane = 0usize;
-    for chunk in &mut chunks {
-        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        let mut m = 0u64;
-        for &v in values {
-            m |= swar_eq(x, broadcast(v));
-        }
-        out[lane / 64] |= swar_movemask(m) << (lane % 64);
-        lane += 8;
-    }
-    for (i, &c) in chunks.remainder().iter().enumerate() {
-        if values.contains(&c) {
-            let j = lane + i;
-            out[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-}
-
-fn count_swar(codes: &[u8], value: u8) -> u64 {
-    let b = broadcast(value);
-    let mut chunks = codes.chunks_exact(8);
-    let mut n = 0u64;
-    for chunk in &mut chunks {
-        let x = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        n += u64::from(swar_eq(x, b).count_ones());
-    }
-    n + chunks.remainder().iter().filter(|&&c| c == value).count() as u64
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn select_sse2(codes: &[u8], values: &[u8], out: &mut [u64]) {
-    use std::arch::x86_64::*;
-    let mut chunks = codes.chunks_exact(16);
-    let mut lane = 0usize;
-    for chunk in &mut chunks {
-        let x = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
-        let mut m = _mm_setzero_si128();
-        for &v in values {
-            m = _mm_or_si128(m, _mm_cmpeq_epi8(x, _mm_set1_epi8(v as i8)));
-        }
-        let mask = _mm_movemask_epi8(m) as u32 as u64;
-        out[lane / 64] |= mask << (lane % 64);
-        lane += 16;
-    }
-    for (i, &c) in chunks.remainder().iter().enumerate() {
-        if values.contains(&c) {
-            let j = lane + i;
-            out[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn count_sse2(codes: &[u8], value: u8) -> u64 {
-    use std::arch::x86_64::*;
-    let v = _mm_set1_epi8(value as i8);
-    let mut chunks = codes.chunks_exact(16);
-    let mut n = 0u64;
-    for chunk in &mut chunks {
-        let x = _mm_loadu_si128(chunk.as_ptr() as *const __m128i);
-        n += u64::from((_mm_movemask_epi8(_mm_cmpeq_epi8(x, v)) as u32).count_ones());
-    }
-    n + chunks.remainder().iter().filter(|&&c| c == value).count() as u64
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn select_avx2(codes: &[u8], values: &[u8], out: &mut [u64]) {
-    use std::arch::x86_64::*;
-    let mut chunks = codes.chunks_exact(32);
-    let mut lane = 0usize;
-    for chunk in &mut chunks {
-        let x = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-        let mut m = _mm256_setzero_si256();
-        for &v in values {
-            m = _mm256_or_si256(m, _mm256_cmpeq_epi8(x, _mm256_set1_epi8(v as i8)));
-        }
-        let mask = _mm256_movemask_epi8(m) as u32 as u64;
-        out[lane / 64] |= mask << (lane % 64);
-        lane += 32;
-    }
-    for (i, &c) in chunks.remainder().iter().enumerate() {
-        if values.contains(&c) {
-            let j = lane + i;
-            out[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn count_avx2(codes: &[u8], value: u8) -> u64 {
-    use std::arch::x86_64::*;
-    let v = _mm256_set1_epi8(value as i8);
-    let mut chunks = codes.chunks_exact(32);
-    let mut n = 0u64;
-    for chunk in &mut chunks {
-        let x = _mm256_loadu_si256(chunk.as_ptr() as *const __m256i);
-        n += u64::from((_mm256_movemask_epi8(_mm256_cmpeq_epi8(x, v)) as u32).count_ones());
-    }
-    n + chunks.remainder().iter().filter(|&&c| c == value).count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,7 +120,7 @@ mod tests {
 
     #[test]
     fn backends_agree_on_randomized_columns() {
-        // Ragged lengths around the 8/16/32/64-lane boundaries, byte
+        // Ragged lengths around the 8- and 64-lane boundaries, byte
         // alphabets matching the kind column (5 values) and a wider
         // one, and several accept sets including empty and full.
         let lens = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 4096, 5000];
@@ -335,23 +130,13 @@ mod tests {
                 let codes = column(0x9e37 + i as u64, len, modulo);
                 for values in value_sets {
                     let mut oracle = Vec::new();
-                    select_eq_any_with(Backend::Scalar, &codes, values, &mut oracle);
-                    for b in available_backends() {
-                        let mut got = Vec::new();
-                        select_eq_any_with(b, &codes, values, &mut got);
-                        assert_eq!(
-                            got,
-                            oracle,
-                            "{} disagrees with scalar (len {len}, values {values:?})",
-                            b.name()
-                        );
-                    }
-                    for &v in values.iter() {
-                        let want = count_eq_with(Backend::Scalar, &codes, v);
-                        for b in available_backends() {
-                            assert_eq!(count_eq_with(b, &codes, v), want, "{}", b.name());
-                        }
-                    }
+                    select_eq_any_scalar(&codes, values, &mut oracle);
+                    let mut got = Vec::new();
+                    select_eq_any(&codes, values, &mut got);
+                    assert_eq!(
+                        got, oracle,
+                        "SWAR disagrees with scalar (len {len}, values {values:?})"
+                    );
                 }
             }
         }
@@ -361,14 +146,10 @@ mod tests {
     fn dispatching_entry_points_match_scalar() {
         let codes = column(42, 10_000, 5);
         let mut oracle = Vec::new();
-        select_eq_any_with(Backend::Scalar, &codes, &[1, 2], &mut oracle);
-        let mut got = Vec::new();
+        select_eq_any_scalar(&codes, &[1, 2], &mut oracle);
+        let mut got = vec![!0u64; 3]; // stale contents must be cleared
         select_eq_any(&codes, &[1, 2], &mut got);
         assert_eq!(got, oracle);
-        assert_eq!(
-            count_eq(&codes, 3),
-            count_eq_with(Backend::Scalar, &codes, 3)
-        );
         assert_eq!(
             popcount(&oracle),
             codes.iter().filter(|&&c| (1..=2).contains(&c)).count() as u64

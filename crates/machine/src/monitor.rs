@@ -8,7 +8,10 @@
 //!
 //! This module reproduces that observable: a [`BusRecord`] per
 //! transaction, a bounded [`TraceBuffer`], and the dump bookkeeping used
-//! by the master-process suspend/dump/restart protocol.
+//! by the master-process suspend/dump/restart protocol. Like the
+//! paper's single master process, a buffer ships its records to at most
+//! one [`TraceSink`], staged as columnar [`RecordBlock`]s; the streaming
+//! pipeline's chunking sink is the one production consumer.
 
 use crate::addr::{CpuId, PAddr};
 use crate::bus::BusKind;
@@ -135,15 +138,25 @@ impl RecordBlock {
 
     /// Appends every record of `other` (columnar copies).
     pub fn append(&mut self, other: &RecordBlock) {
-        self.time.extend_from_slice(&other.time);
-        self.cpu.extend_from_slice(&other.cpu);
-        self.paddr.extend_from_slice(&other.paddr);
-        self.kind.extend_from_slice(&other.kind);
-        self.sub.extend_from_slice(&other.sub);
+        self.append_range(other, 0..other.len());
+    }
+
+    /// Appends the records of `other` in lane range `lanes`, one
+    /// column slice at a time (no record reassembly).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` is out of bounds for `other`.
+    pub fn append_range(&mut self, other: &RecordBlock, lanes: std::ops::Range<usize>) {
+        self.time.extend_from_slice(&other.time[lanes.clone()]);
+        self.cpu.extend_from_slice(&other.cpu[lanes.clone()]);
+        self.paddr.extend_from_slice(&other.paddr[lanes.clone()]);
+        self.kind.extend_from_slice(&other.kind[lanes.clone()]);
+        self.sub.extend_from_slice(&other.sub[lanes]);
     }
 
     /// The kind column as packed bytes ([`BusKind::code`] values), for
-    /// the [`crate::kindscan`] scan kernels.
+    /// the [`crate::kindscan`] scan kernel.
     pub fn kind_codes(&self) -> &[u8] {
         // Sound: BusKind is a fieldless repr(u8) enum, so a BusKind
         // column is byte-for-byte its discriminant column.
@@ -151,7 +164,7 @@ impl RecordBlock {
     }
 
     /// The CPU column as packed bytes, for the [`crate::kindscan`]
-    /// scan kernels.
+    /// scan kernel.
     pub fn cpu_codes(&self) -> &[u8] {
         // Sound: CpuId is repr(transparent) over u8.
         unsafe { std::slice::from_raw_parts(self.cpu.as_ptr() as *const u8, self.cpu.len()) }
@@ -167,15 +180,6 @@ pub trait TraceSink: Send {
     /// Receives one monitored record, in trace order.
     fn record(&mut self, rec: BusRecord);
 
-    /// Receives a batch of records, in trace order. The default forwards
-    /// one at a time; sinks that batch anyway (channels, files) should
-    /// override it to ingest the slice wholesale.
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        for &rec in recs {
-            self.record(rec);
-        }
-    }
-
     /// Receives a structure-of-arrays batch, in trace order. The
     /// default reassembles records one at a time; sinks on the hot
     /// analysis path override it to copy the columns wholesale.
@@ -189,8 +193,7 @@ pub trait TraceSink: Send {
 /// A cheap raw-field predicate over [`BusRecord`]s: CPU set, transaction
 /// kinds, inclusive physical-address range and inclusive time window,
 /// each optional. This is what the query engine pushes down into the
-/// streaming pipeline, and what [`FilteredSink`] applies in front of an
-/// arbitrary sink.
+/// streaming analyzer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordFilter {
     /// Accepted CPUs as a bitmask over CPU indices (`None` = all).
@@ -200,10 +203,9 @@ pub struct RecordFilter {
     pub kinds: Option<u8>,
     /// Accepted physical byte addresses, inclusive (`None` = all).
     pub addr: Option<(u64, u64)>,
-    /// Accepted timestamps, inclusive (`None` = all). Callers choose the
-    /// time base: [`RecordFilter::matches`] uses the record's absolute
-    /// cycle count, [`RecordFilter::matches_at`] whatever rebased time
-    /// the caller passes (the analyzer uses window-relative cycles).
+    /// Accepted timestamps, inclusive (`None` = all), in whatever time
+    /// base the caller passes to [`RecordFilter::matches_at`] (the
+    /// analyzer uses window-relative cycles).
     pub time: Option<(u64, u64)>,
 }
 
@@ -222,11 +224,6 @@ impl RecordFilter {
     /// Whether every record passes (no constraint set).
     pub fn is_pass_all(&self) -> bool {
         self.cpus.is_none() && self.kinds.is_none() && self.addr.is_none() && self.time.is_none()
-    }
-
-    /// Evaluates the predicate with the record's own timestamp.
-    pub fn matches(&self, rec: &BusRecord) -> bool {
-        self.matches_at(rec, rec.time)
     }
 
     /// Evaluates the predicate, with the time window checked against a
@@ -259,7 +256,7 @@ impl RecordFilter {
 
 /// Columnar evaluator for one [`RecordFilter`] over [`RecordBlock`]s:
 /// the kind and CPU predicates run through the [`crate::kindscan`]
-/// SWAR/SIMD kernels over the packed byte columns, the (rare) address
+/// SWAR kernel over the packed byte columns, the (rare) address
 /// and time range predicates refine the surviving lanes scalar-wise.
 /// The result is a pass bitmap — bit `i` of word `w` covers record
 /// `64 * w + i` — identical lane-for-lane to evaluating
@@ -311,11 +308,6 @@ impl BlockSelector {
         }
     }
 
-    /// The filter this selector evaluates.
-    pub fn filter(&self) -> &RecordFilter {
-        &self.filter
-    }
-
     /// Evaluates the filter over every record of `block`, with the time
     /// window checked against `time - time_sub` (saturating — pass 0
     /// for absolute-time filtering, the measurement-window start for
@@ -354,74 +346,12 @@ impl BlockSelector {
     }
 }
 
-/// A [`TraceSink`] adapter that forwards only the records matching a
-/// [`RecordFilter`] (by absolute record time) to the wrapped sink.
-/// Block ingestion evaluates the filter columnar-wise through a
-/// [`BlockSelector`].
-pub struct FilteredSink<S> {
-    filter: RecordFilter,
-    selector: BlockSelector,
-    inner: S,
-    batch: Vec<BusRecord>,
-}
-
-impl<S: TraceSink> FilteredSink<S> {
-    /// Wraps `inner` behind `filter`.
-    pub fn new(filter: RecordFilter, inner: S) -> Self {
-        FilteredSink {
-            filter,
-            selector: BlockSelector::new(filter),
-            inner,
-            batch: Vec::new(),
-        }
-    }
-
-    /// Unwraps the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink> TraceSink for FilteredSink<S> {
-    fn record(&mut self, rec: BusRecord) {
-        if self.filter.matches(&rec) {
-            self.inner.record(rec);
-        }
-    }
-
-    fn record_batch(&mut self, recs: &[BusRecord]) {
-        self.batch.clear();
-        self.batch
-            .extend(recs.iter().filter(|r| self.filter.matches(r)));
-        if !self.batch.is_empty() {
-            self.inner.record_batch(&self.batch);
-        }
-    }
-
-    fn record_block(&mut self, block: &RecordBlock) {
-        self.batch.clear();
-        let pass = self.selector.select(block, 0);
-        for (w, &word) in pass.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                self.batch.push(block.get(i));
-            }
-        }
-        if !self.batch.is_empty() {
-            self.inner.record_batch(&self.batch);
-        }
-    }
-}
-
-/// Records staged in the buffer before being handed to an attached sink
-/// in one [`TraceSink::record_batch`] call. Batch boundaries carry no
-/// meaning, so the value only trades per-record virtual-call overhead
-/// against staging memory. Public because the epoch-parallel feeder in
-/// `oscar-core` must replay exactly this staging cadence to reproduce
-/// the serial pipeline's chunk boundaries byte-for-byte.
-pub const SINK_BATCH: usize = 1024;
+/// Records staged in the buffer before being handed to the attached
+/// sink in one [`TraceSink::record_block`] call. Block boundaries carry
+/// no meaning (the sink re-cuts the stream to its own size), so the
+/// value only trades per-record virtual-call overhead against staging
+/// memory.
+const SINK_BATCH: usize = 1024;
 
 /// The monitor's trace buffer.
 pub struct TraceBuffer {
@@ -430,10 +360,9 @@ pub struct TraceBuffer {
     lost: u64,
     total_seen: u64,
     enabled: bool,
-    /// Attached sinks; every staged batch fans out to each of them, in
-    /// attachment order.
-    sinks: Vec<Box<dyn TraceSink>>,
-    /// Records seen while sinks are attached, not yet handed over,
+    /// The attached streaming sink, if any.
+    sink: Option<Box<dyn TraceSink>>,
+    /// Records seen while the sink is attached, not yet handed over,
     /// staged as structure-of-arrays columns.
     stage: RecordBlock,
 }
@@ -446,7 +375,7 @@ impl std::fmt::Debug for TraceBuffer {
             .field("lost", &self.lost)
             .field("total_seen", &self.total_seen)
             .field("enabled", &self.enabled)
-            .field("sinks", &self.sinks.len())
+            .field("sink", &self.sink.is_some())
             .finish()
     }
 }
@@ -461,18 +390,18 @@ impl TraceBuffer {
             lost: 0,
             total_seen: 0,
             enabled: true,
-            sinks: Vec::new(),
+            sink: None,
             stage: RecordBlock::default(),
         }
     }
 
-    /// Hands any staged records to every attached sink.
+    /// Hands any staged records to the attached sink.
     fn flush_stage(&mut self) {
-        if !self.sinks.is_empty() && !self.stage.is_empty() {
-            for sink in &mut self.sinks {
+        if let Some(sink) = &mut self.sink {
+            if !self.stage.is_empty() {
                 sink.record_block(&self.stage);
+                self.stage.clear();
             }
-            self.stage.clear();
         }
     }
 
@@ -487,49 +416,37 @@ impl TraceBuffer {
     }
 
     /// Attaches a streaming sink, replacing any already attached.
-    /// Subsequent records (while enabled) go to the sinks instead of
-    /// the in-memory buffer, staged into batches. Any records staged
-    /// for previous sinks are flushed to them first.
+    /// Subsequent records (while enabled) go to the sink instead of the
+    /// in-memory buffer, staged into blocks. Any records staged for the
+    /// previous sink are flushed to it first.
     pub fn set_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.flush_stage();
-        self.sinks.clear();
-        self.sinks.push(sink);
+        self.sink = Some(sink);
     }
 
-    /// Attaches an additional sink alongside any existing ones (fan-
-    /// out): every subsequent record is delivered to every sink, in
-    /// attachment order. Records already staged are flushed to the
-    /// previously attached sinks first, so a new sink only sees records
-    /// from its attachment point on.
-    pub fn add_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.flush_stage();
-        self.sinks.push(sink);
-    }
-
-    /// Flushes staged records to the sinks, then detaches and drops
-    /// them all (dropping typically flushes whatever each sink itself
-    /// buffered).
+    /// Flushes staged records to the sink, then detaches and drops it
+    /// (dropping typically flushes whatever the sink itself buffered).
     pub fn clear_sink(&mut self) {
         self.flush_stage();
-        self.sinks.clear();
+        self.sink = None;
     }
 
-    /// Whether at least one streaming sink is attached.
+    /// Whether a streaming sink is attached.
     pub fn has_sink(&self) -> bool {
-        !self.sinks.is_empty()
+        self.sink.is_some()
     }
 
     /// Appends a record, dropping it (and counting the loss) if the
     /// buffer is full. With a sink attached the record is staged and
-    /// handed to the sink in batches ([`TraceSink::record_batch`])
+    /// handed to the sink in blocks ([`TraceSink::record_block`])
     /// rather than buffered; [`TraceBuffer::clear_sink`] (or dropping
-    /// the buffer) flushes the partial last batch.
+    /// the buffer) flushes the partial last block.
     pub fn record(&mut self, rec: BusRecord) {
         if !self.enabled {
             return;
         }
         self.total_seen += 1;
-        if !self.sinks.is_empty() {
+        if self.sink.is_some() {
             self.stage.push(rec);
             if self.stage.len() >= SINK_BATCH {
                 self.flush_stage();
@@ -607,7 +524,7 @@ impl TraceBuffer {
     /// [`TraceBuffer::clear_sink`] before snapshotting.
     pub fn save(&self, w: &mut crate::snap::SnapWriter) {
         assert!(
-            self.sinks.is_empty() && self.stage.is_empty(),
+            self.sink.is_none() && self.stage.is_empty(),
             "cannot snapshot a trace buffer with an attached sink"
         );
         w.bool(self.enabled);
@@ -637,7 +554,7 @@ impl TraceBuffer {
     ) -> Result<(), crate::snap::SnapError> {
         use crate::snap::SnapError;
         assert!(
-            self.sinks.is_empty() && self.stage.is_empty(),
+            self.sink.is_none() && self.stage.is_empty(),
             "cannot restore into a trace buffer with an attached sink"
         );
         self.enabled = r.bool()?;
@@ -783,37 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_delivers_every_record_to_every_sink() {
-        use std::sync::mpsc;
-
-        struct Tx(mpsc::Sender<BusRecord>);
-        impl TraceSink for Tx {
-            fn record(&mut self, rec: BusRecord) {
-                self.0.send(rec).ok();
-            }
-        }
-
-        let (tx1, rx1) = mpsc::channel();
-        let (tx2, rx2) = mpsc::channel();
-        let mut b = TraceBuffer::new(BufferMode::Unbounded);
-        b.set_sink(Box::new(Tx(tx1)));
-        b.record(rec(0));
-        // The second sink attaches later and must only see records from
-        // its attachment point on.
-        b.add_sink(Box::new(Tx(tx2)));
-        for t in 1..5 {
-            b.record(rec(t));
-        }
-        assert!(b.is_empty(), "sinks divert records from the buffer");
-        b.clear_sink();
-        assert!(!b.has_sink());
-        let got1: Vec<u64> = rx1.try_iter().map(|r| r.time).collect();
-        let got2: Vec<u64> = rx2.try_iter().map(|r| r.time).collect();
-        assert_eq!(got1, vec![0, 1, 2, 3, 4]);
-        assert_eq!(got2, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
     fn set_sink_replaces_previous_sinks() {
         use std::sync::mpsc;
 
@@ -846,7 +732,7 @@ mod tests {
             sub: 0,
         };
         assert!(RecordFilter::default().is_pass_all());
-        assert!(RecordFilter::default().matches(&r));
+        assert!(RecordFilter::default().matches_at(&r, r.time));
 
         let cpu_ok = RecordFilter {
             cpus: Some(1 << 2),
@@ -856,7 +742,7 @@ mod tests {
             cpus: Some(1 << 3),
             ..Default::default()
         };
-        assert!(cpu_ok.matches(&r) && !cpu_bad.matches(&r));
+        assert!(cpu_ok.matches_at(&r, r.time) && !cpu_bad.matches_at(&r, r.time));
 
         let kind_ok = RecordFilter {
             kinds: Some(RecordFilter::kind_bit(BusKind::ReadEx)),
@@ -866,7 +752,7 @@ mod tests {
             kinds: Some(RecordFilter::kind_bit(BusKind::WriteBack)),
             ..Default::default()
         };
-        assert!(kind_ok.matches(&r) && !kind_bad.matches(&r));
+        assert!(kind_ok.matches_at(&r, r.time) && !kind_bad.matches_at(&r, r.time));
 
         let addr_edge = RecordFilter {
             addr: Some((0x4000, 0x4000)),
@@ -876,41 +762,16 @@ mod tests {
             addr: Some((0, 0x3fff)),
             ..Default::default()
         };
-        assert!(addr_edge.matches(&r) && !addr_bad.matches(&r));
+        assert!(addr_edge.matches_at(&r, r.time) && !addr_bad.matches_at(&r, r.time));
 
         let time_abs = RecordFilter {
             time: Some((100, 200)),
             ..Default::default()
         };
-        assert!(time_abs.matches(&r));
+        assert!(time_abs.matches_at(&r, r.time));
         // matches_at rebases: the same window against a rebased time.
         assert!(!time_abs.matches_at(&r, 99));
         assert!(time_abs.matches_at(&r, 200));
-    }
-
-    #[test]
-    fn filtered_sink_forwards_only_matches() {
-        use std::sync::mpsc;
-
-        struct Tx(mpsc::Sender<u64>);
-        impl TraceSink for Tx {
-            fn record(&mut self, rec: BusRecord) {
-                self.0.send(rec.time).ok();
-            }
-        }
-
-        let (tx, rx) = mpsc::channel();
-        let filter = RecordFilter {
-            time: Some((2, 3)),
-            ..Default::default()
-        };
-        let mut b = TraceBuffer::new(BufferMode::Unbounded);
-        b.set_sink(Box::new(FilteredSink::new(filter, Tx(tx))));
-        for t in 0..6 {
-            b.record(rec(t));
-        }
-        b.clear_sink();
-        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]
@@ -921,9 +782,6 @@ mod tests {
         impl TraceSink for Tx {
             fn record(&mut self, _rec: BusRecord) {
                 self.0.send(1).ok();
-            }
-            fn record_batch(&mut self, recs: &[BusRecord]) {
-                self.0.send(recs.len()).ok();
             }
             fn record_block(&mut self, block: &RecordBlock) {
                 self.0.send(block.len()).ok();

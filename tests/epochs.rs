@@ -3,8 +3,8 @@
 //! counts, and warmup-cache hit/miss/invalidation behaviour.
 
 use oscar_core::{
-    merge_metrics_json, render_all, run_streaming, ExperimentConfig, PreparedRun, ReportOutput,
-    StreamOptions,
+    merge_metrics_json, merge_trace_json, render_all, run_streaming, ExperimentConfig, PreparedRun,
+    ReportOutput, StreamOptions,
 };
 use oscar_machine::snap::{SnapReader, SnapWriter};
 use oscar_workloads::WorkloadKind;
@@ -63,8 +63,9 @@ fn snapshot_resume_is_bit_exact() {
     assert_eq!(a.os_stats.dispatches, b.os_stats.dispatches);
 }
 
-/// Renders everything the CLI can emit for one run, for byte compares.
-fn exhibits(config: &ExperimentConfig, opts: &StreamOptions) -> (String, String) {
+/// Renders everything the CLI can emit for one run, for byte compares:
+/// the report, the `--metrics-out` and the `--trace-json` documents.
+fn exhibits(config: &ExperimentConfig, opts: &StreamOptions) -> (String, String, String) {
     let (mut art, an) = run_streaming(config, opts);
     let report = render_all(&art, &an);
     let obs = art.obs.take();
@@ -82,7 +83,8 @@ fn exhibits(config: &ExperimentConfig, opts: &StreamOptions) -> (String, String)
         causal: None,
     };
     let metrics = merge_metrics_json(std::slice::from_ref(&out));
-    (report, metrics)
+    let timeline = merge_trace_json(std::slice::from_ref(&out));
+    (report, metrics, timeline)
 }
 
 #[test]
@@ -93,7 +95,7 @@ fn epoch_runs_match_serial_byte_for_byte() {
         keep_trace: true,
         ..StreamOptions::default()
     };
-    let (serial_report, serial_metrics) = exhibits(&config, &serial_opts);
+    let (serial_report, serial_metrics, serial_timeline) = exhibits(&config, &serial_opts);
 
     for jobs in [1usize, 4] {
         let epoch_opts = StreamOptions {
@@ -103,7 +105,7 @@ fn epoch_runs_match_serial_byte_for_byte() {
             epoch_jobs: jobs,
             ..StreamOptions::default()
         };
-        let (report, metrics) = exhibits(&config, &epoch_opts);
+        let (report, metrics, timeline) = exhibits(&config, &epoch_opts);
         assert_eq!(
             report, serial_report,
             "epoch report must be byte-identical at {jobs} jobs"
@@ -111,6 +113,10 @@ fn epoch_runs_match_serial_byte_for_byte() {
         assert_eq!(
             metrics, serial_metrics,
             "epoch metrics export must be byte-identical at {jobs} jobs"
+        );
+        assert_eq!(
+            timeline, serial_timeline,
+            "epoch timeline export must be byte-identical at {jobs} jobs"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the streaming trace pipeline and the parallel
 //! experiment driver: the tentpole claims — streamed analysis is
 //! byte-identical to the per-record analyzer, and `--jobs N` never
-//! changes output bytes — verified end to end. The SIMD columnar row
+//! changes output bytes — verified end to end. The SWAR columnar row
 //! filter is pinned against the scalar predicate the same way, and the
 //! time-parallel epoch producer against the serial one.
 
@@ -13,6 +13,7 @@ use oscar_core::{
 };
 use oscar_machine::monitor::RecordFilter;
 use oscar_machine::BusKind;
+use oscar_obs::MetricValue;
 use oscar_workloads::WorkloadKind;
 
 fn small(kind: WorkloadKind) -> ExperimentConfig {
@@ -56,29 +57,47 @@ fn streamed_pipeline_matches_batch_for_each_workload() {
     }
 }
 
-/// Ragged chunk sizes exercise the SIMD kernels' tail lanes (partial
-/// bitmap words) across every block boundary.
+/// Ragged chunk sizes exercise the SWAR kernel's tail lanes (partial
+/// bitmap words) across every block boundary, and the chunk sink must
+/// honour the requested size exactly: `ceil(records / chunk)` chunks,
+/// none larger than `chunk`, whatever cadence the monitor (1024-record
+/// blocks) or the epoch feeder (single records) delivers at.
 #[test]
 fn streaming_is_identical_at_ragged_chunk_sizes() {
     let config = small(WorkloadKind::Multpgm);
     let art = run(&config);
     let oracle = render_all(&art, &analyze_per_record(&art));
+    let records = art.trace.len() as u64;
 
-    for chunk in [333, 777, 4096, 63] {
+    let runs = [(63, 0), (333, 0), (777, 0), (4096, 0), (333, 700_000)];
+    for (chunk, epoch_cycles) in runs {
         let (sart, san) = run_streaming(
             &config,
             &StreamOptions {
                 keep_trace: true,
+                observe: true,
                 chunk_records: chunk,
+                epoch_cycles,
+                epoch_jobs: 2,
                 ..StreamOptions::default()
             },
         );
-        assert_eq!(sart.trace, art.trace, "chunk {chunk}");
+        let label = format!("chunk {chunk}, epoch_cycles {epoch_cycles}");
+        assert_eq!(sart.trace, art.trace, "{label}");
+        assert_eq!(render_all(&sart, &san), oracle, "{label}: report differs");
+        let metrics = &sart.obs.as_ref().expect("observe is on").metrics;
+        assert_eq!(metrics.counter("pipeline.records"), records, "{label}");
         assert_eq!(
-            render_all(&sart, &san),
-            oracle,
-            "chunk {chunk}: report differs"
+            metrics.counter("pipeline.chunks"),
+            records.div_ceil(chunk as u64),
+            "{label}: chunk count"
         );
+        match metrics.get("pipeline.chunk_size") {
+            Some(MetricValue::Hist(h)) => {
+                assert_eq!(h.max(), chunk as u64, "{label}: largest chunk");
+            }
+            other => panic!("{label}: pipeline.chunk_size is {other:?}"),
+        }
     }
 }
 
@@ -177,7 +196,7 @@ fn stage_stats_compose_with_epoch_cycles() {
     assert_eq!(stage_ids, ["stage/pmake/produce", "stage/pmake/analyze"]);
 }
 
-/// The columnar row filter (SIMD pass bitmap) must admit exactly the
+/// The columnar row filter (SWAR pass bitmap) must admit exactly the
 /// rows the scalar predicate admits, at ragged chunk sizes. The oracle
 /// runs unfiltered and applies the predicate row by row.
 #[test]
