@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use oscar_machine::addr::{Ppn, Vpn};
-use oscar_machine::monitor::{BusRecord, RecordBlock, RecordFilter};
+use oscar_machine::monitor::{BusRecord, RecordBlock};
 use oscar_machine::{BusKind, MachineConfig};
 use oscar_os::stats::ModeCycles;
 use oscar_os::user::segs;
@@ -170,8 +170,9 @@ pub struct QueryRow {
 }
 
 /// A consumer of [`QueryRow`]s, installed with
-/// [`StreamAnalyzer::set_row_sink`]. Runs on the analyzer's thread, so
-/// no `Send` bound.
+/// [`StreamAnalyzer::set_row_sink`]: the record path of
+/// `oscar-reports query`, which runs every predicate on the row it is
+/// offered. Runs on the analyzer's thread, so no `Send` bound.
 pub type RowSink = Box<dyn FnMut(&QueryRow)>;
 
 /// Per-CPU contribution counts behind every cell of the paper-report
@@ -700,22 +701,6 @@ pub struct StreamAnalyzer {
     /// of a `BTreeMap` probe. Materialized into
     /// [`TraceAnalysis::os_i_by_subsystem`] at finish.
     os_i_sub_dense: Vec<u64>,
-    /// Raw-field predicate applied before a row reaches the row sink
-    /// (the query engine's pushdown; never affects analysis state).
-    row_filter: Option<RecordFilter>,
-    /// Columnar evaluator for `row_filter`: one SWAR pass per block
-    /// computes the pass bitmap the scalar [`StreamAnalyzer::emit_row`]
-    /// checks, instead of re-evaluating the predicate per row.
-    row_selector: Option<oscar_machine::BlockSelector>,
-    /// Pass bitmap for the block currently being dispatched (64 lanes
-    /// per word); valid only while `row_pass_valid`.
-    row_pass: Vec<u64>,
-    /// Whether `row_pass`/`row_idx` describe the in-flight block (the
-    /// record-at-a-time [`StreamAnalyzer::push`] leaves this false and
-    /// falls back to scalar predicate evaluation).
-    row_pass_valid: bool,
-    /// Lane index of the record currently being dispatched.
-    row_idx: usize,
     /// Columnar write-back prescan scratch for
     /// [`StreamAnalyzer::push_block`].
     kind_scan: crate::classify::KindScan,
@@ -783,11 +768,6 @@ impl StreamAnalyzer {
             iscratch: Vec::new(),
             dscratch: Vec::new(),
             os_i_sub_dense: Vec::new(),
-            row_filter: None,
-            row_selector: None,
-            row_pass: Vec::new(),
-            row_pass_valid: false,
-            row_idx: 0,
             kind_scan: crate::classify::KindScan::default(),
             row_sink: None,
             hotline,
@@ -836,17 +816,14 @@ impl StreamAnalyzer {
         }
     }
 
-    /// Installs a row sink: every record (passing `filter`, evaluated
-    /// against window-relative time) is offered to `sink` as an
+    /// Installs a row sink: every record is offered to `sink` as an
     /// enriched [`QueryRow`], with no effect on the analysis itself.
-    pub fn set_row_sink(&mut self, filter: Option<RecordFilter>, sink: RowSink) {
-        self.row_selector = filter.map(oscar_machine::BlockSelector::new);
-        self.row_filter = filter;
+    /// The sink evaluates any predicate itself, on the enriched row.
+    pub fn set_row_sink(&mut self, sink: RowSink) {
         self.row_sink = Some(sink);
     }
 
-    /// Offers one enriched row to the sink, applying the pushdown
-    /// filter first. No-op without a sink.
+    /// Offers one enriched row to the sink. No-op without a sink.
     fn emit_row(
         &mut self,
         rec: &BusRecord,
@@ -859,21 +836,8 @@ impl StreamAnalyzer {
         let Some(sink) = self.row_sink.as_mut() else {
             return;
         };
-        let time = rec.time.saturating_sub(self.meta.measure_start);
-        if let Some(f) = &self.row_filter {
-            if self.row_pass_valid {
-                // Block path: the SWAR pass bitmap already evaluated the
-                // predicate for every lane of the in-flight block.
-                let i = self.row_idx;
-                if self.row_pass[i / 64] & (1u64 << (i % 64)) == 0 {
-                    return;
-                }
-            } else if !f.matches_at(rec, time) {
-                return;
-            }
-        }
         sink(&QueryRow {
-            time,
+            time: rec.time.saturating_sub(self.meta.measure_start),
             cpu: rec.cpu.0,
             kind: rec.kind,
             paddr: rec.paddr.raw(),
@@ -919,19 +883,11 @@ impl StreamAnalyzer {
         // the counter bump (see `handle`), so one SWAR prescan over the
         // packed kind column bulk-counts and skips every write-back
         // lane. A row sink must see every record, write-backs too, so
-        // the bitmap stays empty; its pushdown predicate is evaluated
-        // once per block by the columnar selector instead of once per
-        // row in `emit_row`. Bitmap word order preserves trace order
-        // within and across words.
+        // the bitmap stays empty. Bitmap word order preserves trace
+        // order within and across words.
         if self.row_sink.is_some() {
             self.kind_scan.writebacks.clear();
             self.kind_scan.writebacks.resize(n.div_ceil(64), 0);
-            if let Some(sel) = self.row_selector.as_mut() {
-                let pass = sel.select(block, self.meta.measure_start);
-                self.row_pass.clear();
-                self.row_pass.extend_from_slice(pass);
-                self.row_pass_valid = true;
-            }
         } else {
             self.kind_scan.scan(block.kind_codes());
             self.out.writebacks += self.kind_scan.writeback_count();
@@ -946,7 +902,6 @@ impl StreamAnalyzer {
             while lanes != 0 {
                 let i = base + lanes.trailing_zeros() as usize;
                 lanes &= lanes - 1;
-                self.row_idx = i;
                 let kind = block.kind[i];
                 let rec = BusRecord {
                     time: block.time[i],
@@ -965,7 +920,6 @@ impl StreamAnalyzer {
             }
         }
         self.kind_scan.writebacks = skip;
-        self.row_pass_valid = false;
         self.replay_banks();
     }
 

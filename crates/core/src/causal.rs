@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use oscar_obs::causal::{spin_links, wait_edges, CausalSpan, WaitEdge};
+use oscar_obs::metrics::json_str;
 use oscar_obs::{causal_analyze, CausalAnalysis, CausalInput, Metrics, Timeline};
 use oscar_os::KernelRegion;
 use oscar_os::{LockFamily, LockId, LockPhase};
@@ -21,7 +22,7 @@ use oscar_os::{LockFamily, LockId, LockPhase};
 use crate::analyze::TraceAnalysis;
 use crate::driver::ReportOutput;
 use crate::experiment::RunArtifacts;
-use crate::observe::{jstr, RunObs, PID_CPUS, TRACKS_PER_CPU, TRACK_LOCK, TRACK_MODE, TRACK_OP};
+use crate::observe::{RunObs, PID_CPUS, TRACKS_PER_CPU, TRACK_LOCK, TRACK_MODE, TRACK_OP};
 
 /// Hot-line symbols attached per lock in the export.
 const SYMBOLS_PER_LOCK: usize = 3;
@@ -372,7 +373,7 @@ pub fn merge_causal_json(outputs: &[ReportOutput]) -> String {
             out.push(',');
         }
         first = false;
-        let _ = write!(out, "\n{}: ", jstr(&o.tag));
+        let _ = write!(out, "\n{}: ", json_str(&o.tag));
         out.push_str(&oscar_obs::render_causal_json(a));
     }
     out.push_str("\n}\n");

@@ -26,6 +26,7 @@ use std::collections::HashMap;
 
 use oscar_machine::monitor::BusRecord;
 use oscar_machine::BusKind;
+use oscar_obs::metrics::json_str;
 use oscar_obs::{Metrics, Timeline};
 use oscar_os::{
     opcode_label, KernelObsReport, LockFamily, LockId, LockObsStats, LockPhase, LockSpan, OpClass,
@@ -673,23 +674,6 @@ pub fn add_hotline_tracks(timeline: &mut Timeline, tag: &str, h: &HotlineExport)
     }
 }
 
-/// Minimal JSON string escaping for symbol names (controlled ASCII,
-/// but quotes and backslashes must never break the document).
-pub(crate) fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Merges the per-request hot-line exhibits into one JSON document
 /// keyed by run tag, in request order (byte-identical for any
 /// `--jobs`). Requests that ran without hot-line tracking contribute
@@ -710,7 +694,7 @@ pub fn merge_hotlines_json(outputs: &[ReportOutput]) -> String {
             "\n{}: {{\"blocks_seen\": {}, \"blocks_shared\": {}, \"tracked\": {}, \
              \"false_sharing_lines\": {}, \"machine\": {{\"invals_sent\": {}, \
              \"sharer_churn\": {}}}, \"top\": [",
-            jstr(&o.tag),
+            json_str(&o.tag),
             a.blocks_seen,
             a.blocks_shared,
             a.tracked,
@@ -725,8 +709,8 @@ pub fn merge_hotlines_json(outputs: &[ReportOutput]) -> String {
                 "{{\"addr\": \"0x{:08x}\", \"symbol\": {}, \"region\": {}, \
                  \"false_sharing\": {}, \"sharers\": {}, \"score\": {}, \"misses\": {{",
                 r.paddr,
-                jstr(&r.symbol),
-                jstr(r.region.label()),
+                json_str(&r.symbol),
+                json_str(r.region.label()),
                 r.false_sharing,
                 r.sharers,
                 r.score

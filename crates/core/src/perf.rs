@@ -21,6 +21,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use oscar_obs::metrics::{json_num, json_str};
+
 /// One timed phase of a run (a workload simulation, an analysis pass, a
 /// render, ...).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -135,7 +137,7 @@ impl PerfSummary {
             json_str(&self.name),
             self.jobs,
             self.peak_rss_kb,
-            json_f64(self.wall_s)
+            json_num(self.wall_s)
         );
         for (i, p) in self.phases.iter().enumerate() {
             let _ = write!(
@@ -143,23 +145,23 @@ impl PerfSummary {
                 "{}\n    {{\"id\": {}, \"wall_s\": {}, \"cycles\": {}, \"records\": {}, \"cycles_per_s\": {}, \"records_per_s\": {}",
                 if i == 0 { "" } else { "," },
                 json_str(&p.id),
-                json_f64(p.wall_s),
+                json_num(p.wall_s),
                 p.cycles,
                 p.records,
-                json_f64(p.cycles_per_s()),
-                json_f64(p.records_per_s())
+                json_num(p.cycles_per_s()),
+                json_num(p.records_per_s())
             );
             if let Some(max) = p.chan_depth_max {
                 let _ = write!(s, ", \"chan_depth_max\": {max}");
             }
             if let Some(mean) = p.chan_depth_mean {
-                let _ = write!(s, ", \"chan_depth_mean\": {}", json_f64(mean));
+                let _ = write!(s, ", \"chan_depth_mean\": {}", json_num(mean));
             }
             if let Some(v) = p.stall_s {
-                let _ = write!(s, ", \"stall_s\": {}", json_f64(v));
+                let _ = write!(s, ", \"stall_s\": {}", json_num(v));
             }
             if let Some(v) = p.starve_s {
-                let _ = write!(s, ", \"starve_s\": {}", json_f64(v));
+                let _ = write!(s, ", \"starve_s\": {}", json_num(v));
             }
             s.push('}');
         }
@@ -205,36 +207,6 @@ impl PhaseTimer {
             records,
             ..PhaseStats::default()
         });
-    }
-}
-
-/// JSON string escaping (control chars, quotes, backslash).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite-number JSON rendering (NaN/inf degrade to 0).
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
     }
 }
 
@@ -305,13 +277,6 @@ mod tests {
         assert!(j.contains("\"chan_depth_max\": 7"));
         assert!(j.contains("\"chan_depth_mean\": 2.5"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn escaping_handles_special_chars() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(f64::NAN), "0");
-        assert_eq!(json_f64(1.5), "1.5");
     }
 
     #[test]

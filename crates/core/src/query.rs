@@ -2,79 +2,51 @@
 //! engine behind `oscar-reports query`.
 //!
 //! The spec language and the aggregation state live in dependency-free
-//! `oscar-obs` ([`oscar_obs::query`]); this module supplies the row
-//! vocabulary and the execution plan. Compilation validates every
-//! field/value against the source's vocabulary up front (so a typo
-//! fails fast, before any simulation runs) and splits the predicate
-//! conjunction into two tiers:
+//! `oscar-obs` ([`oscar_obs::query`]); this module supplies the rows and
+//! the one execution path over them. Each source declares one static
+//! table with an entry per field: its name, how its `--where` values
+//! parse, whether and how it groups, whether `sum:`/`hist:` may read it,
+//! and its projection from the source's row. [`compile`] checks a spec
+//! against that table up front (so a typo fails fast, before any
+//! simulation runs), and one fold runs every predicate once on the row
+//! the source already produces, then builds the group key, reads the
+//! value and feeds a [`GroupTable`].
 //!
-//! - **Pushdown** ([`RecordFilter`]): `cpu`, `kind`, `time` and `addr`
-//!   constraints are evaluated against the raw record before the row is
-//!   even built, on the analysis thread, as records stream by.
-//! - **Enriched predicates**: `mode`, `fetch`, `class`, `op` and
-//!   `region` need the analyzer's reconstructed context and run against
-//!   the [`QueryRow`] the pushdown admitted.
-//!
-//! Accepted rows fold straight into a [`GroupTable`] — memory stays
-//! O(groups) however long the trace — and the whole path inherits the
-//! simulator's determinism: the same spec renders byte-identical JSON
-//! for any `--jobs`.
+//! The rows are the analyzer's enriched [`QueryRow`] per monitor record
+//! (streamed out of the analysis thread, so memory stays O(groups)
+//! however long the trace), the kernel probes' [`LockSpan`]s rebased to
+//! the measured window, the hot-line exhibit's [`HotlineRow`]s, and the
+//! causal profiler's [`WaitEdge`]s paired with their lock names. The
+//! whole path inherits the simulator's determinism: the same spec
+//! renders byte-identical JSON for any `--jobs`.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use oscar_machine::monitor::RecordFilter;
-use oscar_machine::BusKind;
 use oscar_obs::query::{parse_num, Agg, Filter, GroupTable, QuerySource, QuerySpec};
-use oscar_os::{KernelRegion, LockFamily, LockPhase, Mode, OpClass};
+use oscar_obs::WaitEdge;
+use oscar_os::{KernelRegion, LockFamily, LockPhase, LockSpan, Mode, OpClass};
 
 use crate::analyze::QueryRow;
 use crate::classify::ArchClass;
 use crate::experiment::ExperimentConfig;
+use crate::hotline::HotlineRow;
 use crate::pipeline::{run_streaming, run_streaming_rows, StreamOptions};
 
-/// Queryable fields of the `records` source, for error messages.
-pub const RECORD_FIELDS: &str = "cpu, kind, mode, fetch, class, op, region, time, addr";
-/// Queryable fields of the `locks` source, for error messages.
-pub const LOCK_FIELDS: &str = "family, instance, cpu, phase, start, dur";
-/// Queryable fields of the `hotlines` source, for error messages.
-pub const HOTLINE_FIELDS: &str =
-    "symbol, region, false_sharing, sharers, misses, invals, churn, upgrades, score, addr";
-/// Queryable fields of the `waits` source, for error messages.
-pub const WAIT_FIELDS: &str = "waiter, holder, lock, duration, holder_op, truncated";
-
-const KIND_VALUES: [(&str, BusKind); 5] = [
-    ("read", BusKind::Read),
-    ("readex", BusKind::ReadEx),
-    ("upgrade", BusKind::Upgrade),
-    ("writeback", BusKind::WriteBack),
-    ("escape", BusKind::UncachedRead),
+const KINDS: [&str; 5] = ["read", "readex", "upgrade", "writeback", "escape"];
+const MODES: [&str; 3] = ["os", "user", "idle"];
+const FETCHES: [&str; 2] = ["instr", "data"];
+const CLASSES: [&str; 6] = [
+    "cold",
+    "disp_os",
+    "disp_os_same",
+    "disp_ap",
+    "sharing",
+    "inval",
 ];
-
-const MODE_OS: u8 = 1;
-const MODE_USER: u8 = 2;
-const MODE_IDLE: u8 = 4;
-const MODE_VALUES: [(&str, u8); 3] = [("os", MODE_OS), ("user", MODE_USER), ("idle", MODE_IDLE)];
-
-const FETCH_INSTR: u8 = 1;
-const FETCH_DATA: u8 = 2;
-const FETCH_VALUES: [(&str, u8); 2] = [("instr", FETCH_INSTR), ("data", FETCH_DATA)];
-
-const CLASS_VALUES: [(&str, u8); 6] = [
-    ("cold", 1),
-    ("disp_os", 2),
-    ("disp_os_same", 4),
-    ("disp_ap", 8),
-    ("sharing", 16),
-    ("inval", 32),
-];
-
-const PHASE_SPIN: u8 = 1;
-const PHASE_HOLD: u8 = 2;
-const PHASE_VALUES: [(&str, u8); 2] = [("spin", PHASE_SPIN), ("hold", PHASE_HOLD)];
-
-const BOOL_VALUES: [(&str, bool); 2] = [("true", true), ("false", false)];
+const PHASES: [&str; 2] = ["spin", "hold"];
+const BOOLS: [&str; 2] = ["true", "false"];
 
 /// Every kernel region, in declaration order (the enum has no `ALL`
 /// const of its own).
@@ -98,687 +70,390 @@ const REGIONS: [KernelRegion; 17] = [
     KernelRegion::FramePool,
 ];
 
-fn kind_label(k: BusKind) -> &'static str {
-    match k {
-        BusKind::Read => "read",
-        BusKind::ReadEx => "readex",
-        BusKind::Upgrade => "upgrade",
-        BusKind::WriteBack => "writeback",
-        BusKind::UncachedRead => "escape",
+/// A vocabulary: label `i`, or `None` past the end.
+type Labels = fn(usize) -> Option<&'static str>;
+
+/// One field's value on one row.
+#[derive(Clone, Copy)]
+enum Cell<'r> {
+    Num(u64),
+    /// The vocabulary bits the row satisfies, and its group label.
+    /// Bits 0 (the field does not apply to this row) match no
+    /// predicate and group as `-`.
+    Sym(u64, &'static str),
+    Str(&'r str),
+}
+
+/// The [`Cell::Sym`] of vocabulary entry `i`.
+fn sym(i: usize, label: &'static str) -> Cell<'static> {
+    Cell::Sym(1 << i, label)
+}
+
+/// A field that does not apply to the row.
+const NONE: Cell<'static> = Cell::Sym(0, "-");
+
+/// A boolean as a two-entry vocabulary over [`BOOLS`], grouping under
+/// the field's own labels.
+fn flag(b: bool, yes: &'static str, no: &'static str) -> Cell<'static> {
+    if b {
+        sym(0, yes)
+    } else {
+        sym(1, no)
     }
 }
 
-fn mode_bit(m: Mode) -> u8 {
-    match m {
-        Mode::Kernel => MODE_OS,
-        Mode::User => MODE_USER,
-        Mode::Idle => MODE_IDLE,
-    }
-}
-
-fn mode_label(m: Mode) -> &'static str {
-    match m {
-        Mode::Kernel => "os",
-        Mode::User => "user",
-        Mode::Idle => "idle",
-    }
-}
-
-/// The labels a class satisfies, as [`CLASS_VALUES`] bits. A same-epoch
-/// OS displacement is still an OS displacement, so it matches both
-/// `disp_os` and `disp_os_same`.
-fn class_bits(c: ArchClass) -> u8 {
+/// The [`CLASSES`] bits a class satisfies, and its (most specific)
+/// label. A same-epoch OS displacement is still an OS displacement, so
+/// it matches both `disp_os` and `disp_os_same`.
+fn class_cell(c: ArchClass) -> Cell<'static> {
     match c {
-        ArchClass::Cold => 1,
-        ArchClass::DispOs { same_epoch: false } => 2,
-        ArchClass::DispOs { same_epoch: true } => 2 | 4,
-        ArchClass::DispAp => 8,
-        ArchClass::Sharing => 16,
-        ArchClass::Inval => 32,
+        ArchClass::Cold => sym(0, "cold"),
+        ArchClass::DispOs { same_epoch: false } => sym(1, "disp_os"),
+        ArchClass::DispOs { same_epoch: true } => Cell::Sym(2 | 4, "disp_os_same"),
+        ArchClass::DispAp => sym(3, "disp_ap"),
+        ArchClass::Sharing => sym(4, "sharing"),
+        ArchClass::Inval => sym(5, "inval"),
     }
 }
 
-/// The class's group label (the most specific one).
-fn class_label(c: ArchClass) -> &'static str {
-    match c {
-        ArchClass::Cold => "cold",
-        ArchClass::DispOs { same_epoch: false } => "disp_os",
-        ArchClass::DispOs { same_epoch: true } => "disp_os_same",
-        ArchClass::DispAp => "disp_ap",
-        ArchClass::Sharing => "sharing",
-        ArchClass::Inval => "inval",
+/// How a field's `--where` values parse and whether it groups.
+enum Kind {
+    /// A number: a value list or an inclusive range. Groups as
+    /// `{prefix}{n}` under `Some(prefix)`; `None` marks a continuous
+    /// field, which cannot group.
+    Num(Option<&'static str>),
+    /// A closed vocabulary, values ORed into a bitmask.
+    Vocab(Labels),
+    /// Strings matched by prefix (`--where lock=Ino` admits every
+    /// instance).
+    Prefix,
+    /// Strings matched exactly.
+    Exact,
+    /// Exactly one of `true`, `false`.
+    Bool,
+}
+
+/// One entry of a source's field table.
+struct Field<R> {
+    name: &'static str,
+    kind: Kind,
+    /// Whether `sum:`/`hist:` may read it.
+    value: bool,
+    get: fn(&R) -> Cell<'_>,
+}
+
+impl<R> Field<R> {
+    const fn new(name: &'static str, kind: Kind, value: bool, get: fn(&R) -> Cell<'_>) -> Self {
+        Field {
+            name,
+            kind,
+            value,
+            get,
+        }
     }
 }
 
-/// Resolves `value` in a `(label, item)` vocabulary, or lists the
+/// A row source: its field table, in error-message order, and the
+/// value-field list its aggregation error quotes.
+struct Source<R: 'static> {
+    fields: &'static [Field<R>],
+    values: &'static str,
+}
+
+#[rustfmt::skip]
+static RECORDS: Source<QueryRow> = Source {
+    values: "time|addr",
+    fields: &[
+        Field::new("cpu", Kind::Num(Some("cpu")), false, |r| Cell::Num(r.cpu.into())),
+        Field::new("kind", Kind::Vocab(|i| KINDS.get(i).copied()), false, |r| {
+            let i = r.kind.code() as usize;
+            sym(i, KINDS[i])
+        }),
+        Field::new("mode", Kind::Vocab(|i| MODES.get(i).copied()), false, |r| match r.mode {
+            Mode::Kernel => sym(0, "os"),
+            Mode::User => sym(1, "user"),
+            Mode::Idle => sym(2, "idle"),
+        }),
+        Field::new("fetch", Kind::Vocab(|i| FETCHES.get(i).copied()), false, |r| {
+            if r.instr { sym(0, "instr") } else { sym(1, "data") }
+        }),
+        Field::new("class", Kind::Vocab(|i| CLASSES.get(i).copied()), false, |r| {
+            r.class.map_or(NONE, class_cell)
+        }),
+        Field::new("op", Kind::Vocab(|i| OpClass::ALL.get(i).map(|o| o.label())), false, |r| {
+            r.op.map_or(NONE, |o| sym(o.code() as usize, o.label()))
+        }),
+        Field::new("region", Kind::Vocab(|i| REGIONS.get(i).map(|g| g.label())), false, |r| {
+            r.region.map_or(NONE, |g| sym(g as usize, g.label()))
+        }),
+        Field::new("time", Kind::Num(None), true, |r| Cell::Num(r.time)),
+        Field::new("addr", Kind::Num(None), true, |r| Cell::Num(r.paddr)),
+    ],
+};
+
+/// Rows are spans rebased to the measured window (see [`run_compiled`]).
+#[rustfmt::skip]
+static LOCKS: Source<LockSpan> = Source {
+    values: "dur|start",
+    fields: &[
+        Field::new("family", Kind::Vocab(|i| LockFamily::ALL.get(i).map(|f| f.label())), false, |s| {
+            sym(s.lock.family as usize, s.lock.family.label())
+        }),
+        Field::new("instance", Kind::Num(Some("i")), false, |s| Cell::Num(s.lock.instance.into())),
+        Field::new("cpu", Kind::Num(Some("cpu")), false, |s| Cell::Num(s.cpu.index() as u64)),
+        Field::new("phase", Kind::Vocab(|i| PHASES.get(i).copied()), false, |s| match s.phase {
+            LockPhase::Spin => sym(0, "spin"),
+            LockPhase::Hold => sym(1, "hold"),
+        }),
+        Field::new("start", Kind::Num(None), true, |s| Cell::Num(s.start)),
+        Field::new("dur", Kind::Num(None), true, |s| Cell::Num(s.end - s.start)),
+    ],
+};
+
+#[rustfmt::skip]
+static HOTLINES: Source<HotlineRow> = Source {
+    values: "misses|invals|churn|sharers|score",
+    fields: &[
+        Field::new("symbol", Kind::Prefix, false, |h| Cell::Str(&h.symbol)),
+        Field::new("region", Kind::Vocab(|i| REGIONS.get(i).map(|g| g.label())), false, |h| {
+            sym(h.region as usize, h.region.label())
+        }),
+        Field::new("false_sharing", Kind::Bool, false, |h| {
+            flag(h.false_sharing, "false_sharing", "true_sharing")
+        }),
+        Field::new("sharers", Kind::Num(None), true, |h| Cell::Num(h.sharers.into())),
+        Field::new("misses", Kind::Num(None), true, |h| Cell::Num(h.total_misses())),
+        Field::new("invals", Kind::Num(None), true, |h| Cell::Num(h.invals)),
+        Field::new("churn", Kind::Num(None), true, |h| Cell::Num(h.churn)),
+        Field::new("upgrades", Kind::Num(None), false, |h| Cell::Num(h.upgrades)),
+        Field::new("score", Kind::Num(None), true, |h| Cell::Num(h.score)),
+        Field::new("addr", Kind::Num(None), false, |h| Cell::Num(h.paddr)),
+    ],
+};
+
+/// Rows are wait-for edges paired with their lock's name.
+#[rustfmt::skip]
+static WAITS: Source<(WaitEdge, String)> = Source {
+    values: "duration",
+    fields: &[
+        Field::new("waiter", Kind::Num(Some("cpu")), false, |(e, _)| Cell::Num(e.waiter as u64)),
+        Field::new("holder", Kind::Num(Some("cpu")), false, |(e, _)| Cell::Num(e.holder as u64)),
+        Field::new("lock", Kind::Prefix, false, |(_, lock)| Cell::Str(lock)),
+        Field::new("duration", Kind::Num(None), true, |(e, _)| Cell::Num(e.duration())),
+        Field::new("holder_op", Kind::Exact, false, |(e, _)| Cell::Str(&e.holder_op)),
+        Field::new("truncated", Kind::Bool, false, |(e, _)| {
+            flag(e.truncated, "truncated", "complete")
+        }),
+    ],
+};
+
+/// Resolves `value` in a vocabulary to its index, or lists the
 /// vocabulary in the error.
-fn lookup<T: Copy>(field: &str, value: &str, vocab: &[(&str, T)]) -> Result<T, String> {
-    vocab
-        .iter()
-        .find(|(l, _)| *l == value)
-        .map(|&(_, t)| t)
-        .ok_or_else(|| {
-            let all: Vec<&str> = vocab.iter().map(|&(l, _)| l).collect();
-            format!("unknown {field} `{value}` (one of: {})", all.join(", "))
-        })
+fn lookup(field: &str, value: &str, labels: Labels) -> Result<usize, String> {
+    let all = || (0..).map_while(labels);
+    all().position(|l| l == value).ok_or_else(|| {
+        let all: Vec<&str> = all().collect();
+        format!("unknown {field} `{value}` (one of: {})", all.join(", "))
+    })
 }
 
-/// ORs the vocabulary bits of every listed value.
-fn bitset(field: &str, values: &[String], vocab: &[(&str, u8)]) -> Result<u8, String> {
-    let mut bits = 0;
-    for v in values {
-        bits |= lookup(field, v, vocab)?;
-    }
-    Ok(bits)
-}
-
-/// A numeric predicate: an explicit value list or an inclusive range.
+/// One compiled `--where` predicate.
 #[derive(Debug, Clone)]
-enum NumPred {
-    OneOf(Vec<u64>),
+enum Test {
     Range(u64, u64),
+    Nums(Vec<u64>),
+    /// Matches rows whose [`Cell::Sym`] bits meet the mask.
+    Mask(u64),
+    Prefix(Vec<String>),
+    Exact(Vec<String>),
 }
 
-impl NumPred {
-    fn from_filter(f: &Filter) -> Result<NumPred, String> {
-        match f {
-            Filter::Range { lo, hi, .. } => Ok(NumPred::Range(*lo, *hi)),
-            Filter::OneOf { field, values } => {
-                let nums: Result<Vec<u64>, String> = values
+impl Test {
+    fn compile(kind: &Kind, f: &Filter) -> Result<Test, String> {
+        let field = f.field();
+        let values = match (kind, f) {
+            (Kind::Num(_), Filter::Range { lo, hi, .. }) => return Ok(Test::Range(*lo, *hi)),
+            (_, Filter::Range { .. }) => {
+                return Err(format!("--where {field}: takes a value list, not a range"))
+            }
+            (_, Filter::OneOf { values, .. }) => values,
+        };
+        Ok(match kind {
+            Kind::Num(_) => Test::Nums(
+                values
                     .iter()
                     .map(|v| parse_num(v).map_err(|e| format!("--where {field}: {e}")))
-                    .collect();
-                Ok(NumPred::OneOf(nums?))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Kind::Vocab(labels) => {
+                let mut mask = 0;
+                for v in values {
+                    mask |= 1 << lookup(field, v, *labels)?;
+                }
+                Test::Mask(mask)
             }
-        }
-    }
-
-    fn matches(&self, v: u64) -> bool {
-        match self {
-            NumPred::OneOf(set) => set.contains(&v),
-            NumPred::Range(lo, hi) => v >= *lo && v <= *hi,
-        }
-    }
-}
-
-/// An enriched predicate of the `records` source (everything the
-/// pushdown [`RecordFilter`] cannot express).
-#[derive(Debug, Clone)]
-enum RecPred {
-    Mode(u8),
-    Fetch(u8),
-    Class(u8),
-    Op(Vec<OpClass>),
-    Region(Vec<KernelRegion>),
-}
-
-impl RecPred {
-    fn matches(&self, row: &QueryRow) -> bool {
-        match self {
-            RecPred::Mode(bits) => bits & mode_bit(row.mode) != 0,
-            RecPred::Fetch(bits) => bits & if row.instr { FETCH_INSTR } else { FETCH_DATA } != 0,
-            RecPred::Class(bits) => row.class.is_some_and(|c| bits & class_bits(c) != 0),
-            RecPred::Op(ops) => row.op.is_some_and(|o| ops.contains(&o)),
-            RecPred::Region(rs) => row.region.is_some_and(|r| rs.contains(&r)),
-        }
-    }
-}
-
-/// A group-key component of the `records` source.
-#[derive(Debug, Clone, Copy)]
-enum RecGroup {
-    Cpu,
-    Kind,
-    Mode,
-    Fetch,
-    Class,
-    Op,
-    Region,
-}
-
-impl RecGroup {
-    fn append(self, row: &QueryRow, key: &mut String) {
-        match self {
-            RecGroup::Cpu => {
-                let _ = write!(key, "cpu{}", row.cpu);
+            Kind::Prefix => Test::Prefix(values.clone()),
+            Kind::Exact => Test::Exact(values.clone()),
+            Kind::Bool if values.len() != 1 => {
+                return Err(format!("--where {field}: needs exactly one of true, false"))
             }
-            RecGroup::Kind => key.push_str(kind_label(row.kind)),
-            RecGroup::Mode => key.push_str(mode_label(row.mode)),
-            RecGroup::Fetch => key.push_str(if row.instr { "instr" } else { "data" }),
-            RecGroup::Class => key.push_str(row.class.map_or("-", class_label)),
-            RecGroup::Op => key.push_str(row.op.map_or("-", |o| o.label())),
-            RecGroup::Region => key.push_str(row.region.map_or("-", |r| r.label())),
+            Kind::Bool => Test::Mask(1 << lookup(field, &values[0], |i| BOOLS.get(i).copied())?),
+        })
+    }
+
+    fn matches(&self, cell: Cell<'_>) -> bool {
+        match (self, cell) {
+            (Test::Range(lo, hi), Cell::Num(n)) => (*lo..=*hi).contains(&n),
+            (Test::Nums(set), Cell::Num(n)) => set.contains(&n),
+            (Test::Mask(mask), Cell::Sym(bits, _)) => mask & bits != 0,
+            (Test::Prefix(ps), Cell::Str(s)) => ps.iter().any(|p| s.starts_with(p.as_str())),
+            (Test::Exact(xs), Cell::Str(s)) => xs.iter().any(|x| x == s),
+            // Each kind compiles to the tests of its own cell type.
+            _ => false,
         }
     }
 }
 
-/// The value field the aggregation samples, per source.
-#[derive(Debug, Clone, Copy)]
-enum RecValue {
-    Time,
-    Addr,
-}
-
-/// A predicate of the `locks` source.
-#[derive(Debug, Clone)]
-enum LockPred {
-    Family(Vec<LockFamily>),
-    Instance(NumPred),
-    Cpu(NumPred),
-    Phase(u8),
-    Start(NumPred),
-    Dur(NumPred),
-}
-
-/// A group-key component of the `locks` source.
-#[derive(Debug, Clone, Copy)]
-enum LockGroup {
-    Family,
-    Instance,
-    Cpu,
-    Phase,
-}
-
-/// The value field of the `locks` source.
-#[derive(Debug, Clone, Copy)]
-enum LockValue {
-    Dur,
-    Start,
-}
-
-/// A predicate of the `hotlines` source. `Symbol` matches by prefix
-/// (`--where symbol=proc` admits every `proc[...]` line); everything
-/// else is exact or numeric.
-#[derive(Debug, Clone)]
-enum HotPred {
-    Symbol(Vec<String>),
-    Region(Vec<KernelRegion>),
-    FalseSharing(bool),
-    Sharers(NumPred),
-    Misses(NumPred),
-    Invals(NumPred),
-    Churn(NumPred),
-    Upgrades(NumPred),
-    Score(NumPred),
-    Addr(NumPred),
-}
-
-impl HotPred {
-    fn matches(&self, row: &crate::hotline::HotlineRow) -> bool {
-        match self {
-            HotPred::Symbol(prefixes) => {
-                prefixes.iter().any(|p| row.symbol.starts_with(p.as_str()))
-            }
-            HotPred::Region(rs) => rs.contains(&row.region),
-            HotPred::FalseSharing(v) => row.false_sharing == *v,
-            HotPred::Sharers(n) => n.matches(row.sharers as u64),
-            HotPred::Misses(n) => n.matches(row.total_misses()),
-            HotPred::Invals(n) => n.matches(row.invals),
-            HotPred::Churn(n) => n.matches(row.churn),
-            HotPred::Upgrades(n) => n.matches(row.upgrades),
-            HotPred::Score(n) => n.matches(row.score),
-            HotPred::Addr(n) => n.matches(row.paddr),
-        }
-    }
-}
-
-/// A group-key component of the `hotlines` source.
-#[derive(Debug, Clone, Copy)]
-enum HotGroup {
-    Symbol,
-    Region,
-    FalseSharing,
-}
-
-/// The value field of the `hotlines` source.
-#[derive(Debug, Clone, Copy)]
-enum HotValue {
-    Misses,
-    Invals,
-    Churn,
-    Sharers,
-    Score,
-}
-
-/// A predicate of the `waits` source (the causal profiler's wait-for
-/// edges). `Lock` matches by prefix (`--where lock=Ino_x` admits every
-/// instance); `holder_op` is exact.
-#[derive(Debug, Clone)]
-enum WaitPred {
-    Waiter(NumPred),
-    Holder(NumPred),
-    Lock(Vec<String>),
-    HolderOp(Vec<String>),
-    Duration(NumPred),
-    Truncated(bool),
-}
-
-impl WaitPred {
-    fn matches(&self, e: &oscar_obs::WaitEdge, lock_name: &str) -> bool {
-        match self {
-            WaitPred::Waiter(n) => n.matches(e.waiter as u64),
-            WaitPred::Holder(n) => n.matches(e.holder as u64),
-            WaitPred::Lock(prefixes) => prefixes.iter().any(|p| lock_name.starts_with(p.as_str())),
-            WaitPred::HolderOp(ops) => ops.iter().any(|o| o == &e.holder_op),
-            WaitPred::Duration(n) => n.matches(e.duration()),
-            WaitPred::Truncated(v) => e.truncated == *v,
-        }
-    }
-}
-
-/// A group-key component of the `waits` source.
-#[derive(Debug, Clone, Copy)]
-enum WaitGroup {
-    Waiter,
-    Holder,
-    Lock,
-    HolderOp,
-    Truncated,
-}
-
-/// The value field of the `waits` source.
-#[derive(Debug, Clone, Copy)]
-enum WaitValue {
-    Duration,
-}
-
-/// The execution plan of a validated spec.
-#[derive(Debug, Clone)]
-enum Plan {
-    Records {
-        filter: Option<RecordFilter>,
-        preds: Vec<RecPred>,
-        group: Vec<RecGroup>,
-        value: Option<RecValue>,
-    },
-    Locks {
-        preds: Vec<LockPred>,
-        group: Vec<LockGroup>,
-        value: Option<LockValue>,
-    },
-    Hotlines {
-        preds: Vec<HotPred>,
-        group: Vec<HotGroup>,
-        value: Option<HotValue>,
-    },
-    Waits {
-        preds: Vec<WaitPred>,
-        group: Vec<WaitGroup>,
-        value: Option<WaitValue>,
-    },
-}
-
-/// A [`QuerySpec`] validated against the source's vocabulary, with the
-/// pushdown filter split out. Compile once (fail fast on typos), then
-/// run against any number of configurations.
+/// A [`QuerySpec`] validated against its source's field table: the
+/// predicates, group-key fields and value field as table indices.
+/// Compile once (fail fast on typos), then run against any number of
+/// configurations.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
+    source: QuerySource,
     agg: Agg,
     top: Option<usize>,
-    plan: Plan,
-}
-
-/// Intersects `[lo, hi]` into an optional window (conjunction of two
-/// `--where` ranges on the same field).
-fn isect_range(slot: &mut Option<(u64, u64)>, lo: u64, hi: u64) {
-    let (l0, h0) = slot.unwrap_or((0, u64::MAX));
-    *slot = Some((l0.max(lo), h0.min(hi)));
-}
-
-fn isect_mask<M: std::ops::BitAnd<Output = M> + Copy>(slot: &mut Option<M>, mask: M, all: M) {
-    let m0 = slot.unwrap_or(all);
-    *slot = Some(m0 & mask);
-}
-
-/// Converts a `cpu` filter into a [`RecordFilter::cpus`] mask (the
-/// monitor tracks at most 32 CPUs).
-fn cpu_mask(f: &Filter) -> Result<u32, String> {
-    match NumPred::from_filter(f)? {
-        NumPred::OneOf(cpus) => {
-            let mut mask = 0u32;
-            for c in cpus {
-                if c >= 32 {
-                    return Err(format!("--where cpu: `{c}` out of range (0..=31)"));
-                }
-                mask |= 1 << c;
-            }
-            Ok(mask)
-        }
-        NumPred::Range(lo, hi) => {
-            let mut mask = 0u32;
-            for c in lo..=hi.min(31) {
-                mask |= 1 << c;
-            }
-            Ok(mask)
-        }
-    }
-}
-
-/// Converts a `time`/`addr` filter into an inclusive window (a single
-/// listed value means equality).
-fn num_window(f: &Filter) -> Result<(u64, u64), String> {
-    match NumPred::from_filter(f)? {
-        NumPred::Range(lo, hi) => Ok((lo, hi)),
-        NumPred::OneOf(vs) if vs.len() == 1 => Ok((vs[0], vs[0])),
-        NumPred::OneOf(_) => Err(format!(
-            "--where {}: needs a single value or a lo..hi range",
-            f.field()
-        )),
-    }
-}
-
-fn oneof_values(f: &Filter) -> Result<&[String], String> {
-    match f {
-        Filter::OneOf { values, .. } => Ok(values),
-        Filter::Range { field, .. } => {
-            Err(format!("--where {field}: takes a value list, not a range"))
-        }
-    }
+    /// Conjunction: repeated filters on a field intersect.
+    preds: Vec<(usize, Test)>,
+    group: Vec<usize>,
+    value: Option<usize>,
 }
 
 /// Validates `spec` against its source's field and value vocabulary and
 /// builds the execution plan. No simulation runs here.
 pub fn compile(spec: &QuerySpec) -> Result<CompiledQuery, String> {
-    let plan = match spec.source {
-        QuerySource::Records => compile_records(spec)?,
-        QuerySource::Locks => compile_locks(spec)?,
-        QuerySource::Hotlines => compile_hotlines(spec)?,
-        QuerySource::Waits => compile_waits(spec)?,
-    };
-    Ok(CompiledQuery {
-        agg: spec.agg.clone(),
-        top: spec.top,
-        plan,
-    })
+    match spec.source {
+        QuerySource::Records => RECORDS.compile(spec),
+        QuerySource::Locks => LOCKS.compile(spec),
+        QuerySource::Hotlines => HOTLINES.compile(spec),
+        QuerySource::Waits => WAITS.compile(spec),
+    }
 }
 
-fn compile_records(spec: &QuerySpec) -> Result<Plan, String> {
-    let op_vocab: Vec<(&str, OpClass)> = OpClass::ALL.iter().map(|&c| (c.label(), c)).collect();
-    let region_vocab: Vec<(&str, KernelRegion)> = REGIONS.iter().map(|&r| (r.label(), r)).collect();
-
-    let mut rf = RecordFilter::default();
-    let mut preds = Vec::new();
-    for f in &spec.filters {
-        match f.field() {
-            "cpu" => isect_mask(&mut rf.cpus, cpu_mask(f)?, !0),
-            "kind" => {
-                let mut mask = 0u8;
-                for v in oneof_values(f)? {
-                    mask |= RecordFilter::kind_bit(lookup("kind", v, &KIND_VALUES)?);
-                }
-                isect_mask(&mut rf.kinds, mask, !0);
-            }
-            "time" => {
-                let (lo, hi) = num_window(f)?;
-                isect_range(&mut rf.time, lo, hi);
-            }
-            "addr" => {
-                let (lo, hi) = num_window(f)?;
-                isect_range(&mut rf.addr, lo, hi);
-            }
-            "mode" => preds.push(RecPred::Mode(bitset(
-                "mode",
-                oneof_values(f)?,
-                &MODE_VALUES,
-            )?)),
-            "fetch" => preds.push(RecPred::Fetch(bitset(
-                "fetch",
-                oneof_values(f)?,
-                &FETCH_VALUES,
-            )?)),
-            "class" => preds.push(RecPred::Class(bitset(
-                "class",
-                oneof_values(f)?,
-                &CLASS_VALUES,
-            )?)),
-            "op" => preds.push(RecPred::Op(
-                oneof_values(f)?
-                    .iter()
-                    .map(|v| lookup("op", v, &op_vocab))
-                    .collect::<Result<_, _>>()?,
-            )),
-            "region" => preds.push(RecPred::Region(
-                oneof_values(f)?
-                    .iter()
-                    .map(|v| lookup("region", v, &region_vocab))
-                    .collect::<Result<_, _>>()?,
-            )),
-            other => {
-                return Err(format!(
-                    "unknown records field `{other}` (one of: {RECORD_FIELDS})"
-                ))
-            }
-        }
+impl<R> Source<R> {
+    fn field(&self, source: QuerySource, name: &str) -> Result<(usize, &Field<R>), String> {
+        self.fields
+            .iter()
+            .enumerate()
+            .find(|(_, f)| f.name == name)
+            .ok_or_else(|| {
+                let all: Vec<&str> = self.fields.iter().map(|f| f.name).collect();
+                format!(
+                    "unknown {} field `{name}` (one of: {})",
+                    source.label(),
+                    all.join(", ")
+                )
+            })
     }
 
-    let mut group = Vec::new();
-    for g in &spec.group_by {
-        group.push(match g.as_str() {
-            "cpu" => RecGroup::Cpu,
-            "kind" => RecGroup::Kind,
-            "mode" => RecGroup::Mode,
-            "fetch" => RecGroup::Fetch,
-            "class" => RecGroup::Class,
-            "op" => RecGroup::Op,
-            "region" => RecGroup::Region,
-            "time" | "addr" => return Err(format!("cannot group by continuous field `{g}`")),
-            other => {
-                return Err(format!(
-                    "unknown records field `{other}` (one of: {RECORD_FIELDS})"
-                ))
-            }
-        });
-    }
-
-    let value = match spec.agg.value_field() {
-        None => None,
-        Some("time") => Some(RecValue::Time),
-        Some("addr") => Some(RecValue::Addr),
-        Some(other) => {
-            return Err(format!(
-                "records aggregation needs value field time|addr, not `{other}`"
-            ))
+    fn compile(&self, spec: &QuerySpec) -> Result<CompiledQuery, String> {
+        let source = spec.source;
+        let mut preds = Vec::new();
+        for f in &spec.filters {
+            let (i, field) = self.field(source, f.field())?;
+            preds.push((i, Test::compile(&field.kind, f)?));
         }
-    };
-
-    Ok(Plan::Records {
-        filter: (!rf.is_pass_all()).then_some(rf),
-        preds,
-        group,
-        value,
-    })
-}
-
-fn compile_locks(spec: &QuerySpec) -> Result<Plan, String> {
-    let family_vocab: Vec<(&str, LockFamily)> =
-        LockFamily::ALL.iter().map(|&f| (f.label(), f)).collect();
-
-    let mut preds = Vec::new();
-    for f in &spec.filters {
-        preds.push(match f.field() {
-            "family" => LockPred::Family(
-                oneof_values(f)?
+        let mut group = Vec::new();
+        for g in &spec.group_by {
+            let (i, field) = self.field(source, g)?;
+            if matches!(field.kind, Kind::Num(None)) {
+                return Err(format!("cannot group by continuous field `{g}`"));
+            }
+            group.push(i);
+        }
+        let value = match spec.agg.value_field() {
+            None => None,
+            Some(v) => Some(
+                self.fields
                     .iter()
-                    .map(|v| lookup("family", v, &family_vocab))
-                    .collect::<Result<_, _>>()?,
+                    .position(|f| f.value && f.name == v)
+                    .ok_or_else(|| {
+                        format!(
+                            "{} aggregation needs value field {}, not `{v}`",
+                            source.label(),
+                            self.values
+                        )
+                    })?,
             ),
-            "instance" => LockPred::Instance(NumPred::from_filter(f)?),
-            "cpu" => LockPred::Cpu(NumPred::from_filter(f)?),
-            "phase" => LockPred::Phase(bitset("phase", oneof_values(f)?, &PHASE_VALUES)?),
-            "start" => LockPred::Start(NumPred::from_filter(f)?),
-            "dur" => LockPred::Dur(NumPred::from_filter(f)?),
-            other => {
-                return Err(format!(
-                    "unknown locks field `{other}` (one of: {LOCK_FIELDS})"
-                ))
-            }
-        });
+        };
+        Ok(CompiledQuery {
+            source,
+            agg: spec.agg.clone(),
+            top: spec.top,
+            preds,
+            group,
+            value,
+        })
     }
-
-    let mut group = Vec::new();
-    for g in &spec.group_by {
-        group.push(match g.as_str() {
-            "family" => LockGroup::Family,
-            "instance" => LockGroup::Instance,
-            "cpu" => LockGroup::Cpu,
-            "phase" => LockGroup::Phase,
-            "start" | "dur" => return Err(format!("cannot group by continuous field `{g}`")),
-            other => {
-                return Err(format!(
-                    "unknown locks field `{other}` (one of: {LOCK_FIELDS})"
-                ))
-            }
-        });
-    }
-
-    let value = match spec.agg.value_field() {
-        None => None,
-        Some("dur") => Some(LockValue::Dur),
-        Some("start") => Some(LockValue::Start),
-        Some(other) => {
-            return Err(format!(
-                "locks aggregation needs value field dur|start, not `{other}`"
-            ))
-        }
-    };
-
-    Ok(Plan::Locks {
-        preds,
-        group,
-        value,
-    })
 }
 
-fn compile_hotlines(spec: &QuerySpec) -> Result<Plan, String> {
-    let region_vocab: Vec<(&str, KernelRegion)> = REGIONS.iter().map(|&r| (r.label(), r)).collect();
-
-    let mut preds = Vec::new();
-    for f in &spec.filters {
-        preds.push(match f.field() {
-            "symbol" => HotPred::Symbol(oneof_values(f)?.to_vec()),
-            "region" => HotPred::Region(
-                oneof_values(f)?
-                    .iter()
-                    .map(|v| lookup("region", v, &region_vocab))
-                    .collect::<Result<_, _>>()?,
-            ),
-            "false_sharing" => {
-                let vs = oneof_values(f)?;
-                if vs.len() != 1 {
-                    return Err("--where false_sharing: needs exactly one of true, false".into());
-                }
-                HotPred::FalseSharing(lookup("false_sharing", &vs[0], &BOOL_VALUES)?)
-            }
-            "sharers" => HotPred::Sharers(NumPred::from_filter(f)?),
-            "misses" => HotPred::Misses(NumPred::from_filter(f)?),
-            "invals" => HotPred::Invals(NumPred::from_filter(f)?),
-            "churn" => HotPred::Churn(NumPred::from_filter(f)?),
-            "upgrades" => HotPred::Upgrades(NumPred::from_filter(f)?),
-            "score" => HotPred::Score(NumPred::from_filter(f)?),
-            "addr" => HotPred::Addr(NumPred::from_filter(f)?),
-            other => {
-                return Err(format!(
-                    "unknown hotlines field `{other}` (one of: {HOTLINE_FIELDS})"
-                ))
-            }
-        });
-    }
-
-    let mut group = Vec::new();
-    for g in &spec.group_by {
-        group.push(match g.as_str() {
-            "symbol" => HotGroup::Symbol,
-            "region" => HotGroup::Region,
-            "false_sharing" => HotGroup::FalseSharing,
-            "sharers" | "misses" | "invals" | "churn" | "upgrades" | "score" | "addr" => {
-                return Err(format!("cannot group by continuous field `{g}`"))
-            }
-            other => {
-                return Err(format!(
-                    "unknown hotlines field `{other}` (one of: {HOTLINE_FIELDS})"
-                ))
-            }
-        });
-    }
-
-    let value = match spec.agg.value_field() {
-        None => None,
-        Some("misses") => Some(HotValue::Misses),
-        Some("invals") => Some(HotValue::Invals),
-        Some("churn") => Some(HotValue::Churn),
-        Some("sharers") => Some(HotValue::Sharers),
-        Some("score") => Some(HotValue::Score),
-        Some(other) => {
-            return Err(format!(
-                "hotlines aggregation needs value field misses|invals|churn|sharers|score, \
-                 not `{other}`"
-            ))
-        }
-    };
-
-    Ok(Plan::Hotlines {
-        preds,
-        group,
-        value,
-    })
+/// The one fold: a row that passes every predicate lands in its group
+/// with its value.
+struct Fold<R: 'static> {
+    fields: &'static [Field<R>],
+    query: CompiledQuery,
+    table: GroupTable,
+    key: String,
 }
 
-fn compile_waits(spec: &QuerySpec) -> Result<Plan, String> {
-    let mut preds = Vec::new();
-    for f in &spec.filters {
-        preds.push(match f.field() {
-            "waiter" => WaitPred::Waiter(NumPred::from_filter(f)?),
-            "holder" => WaitPred::Holder(NumPred::from_filter(f)?),
-            "lock" => WaitPred::Lock(oneof_values(f)?.to_vec()),
-            "holder_op" => WaitPred::HolderOp(oneof_values(f)?.to_vec()),
-            "duration" => WaitPred::Duration(NumPred::from_filter(f)?),
-            "truncated" => {
-                let vs = oneof_values(f)?;
-                if vs.len() != 1 {
-                    return Err("--where truncated: needs exactly one of true, false".into());
-                }
-                WaitPred::Truncated(lookup("truncated", &vs[0], &BOOL_VALUES)?)
-            }
-            other => {
-                return Err(format!(
-                    "unknown waits field `{other}` (one of: {WAIT_FIELDS})"
-                ))
-            }
-        });
-    }
-
-    let mut group = Vec::new();
-    for g in &spec.group_by {
-        group.push(match g.as_str() {
-            "waiter" => WaitGroup::Waiter,
-            "holder" => WaitGroup::Holder,
-            "lock" => WaitGroup::Lock,
-            "holder_op" => WaitGroup::HolderOp,
-            "truncated" => WaitGroup::Truncated,
-            "duration" => return Err(format!("cannot group by continuous field `{g}`")),
-            other => {
-                return Err(format!(
-                    "unknown waits field `{other}` (one of: {WAIT_FIELDS})"
-                ))
-            }
-        });
-    }
-
-    let value = match spec.agg.value_field() {
-        None => None,
-        Some("duration") => Some(WaitValue::Duration),
-        Some(other) => {
-            return Err(format!(
-                "waits aggregation needs value field duration, not `{other}`"
-            ))
+impl<R> Fold<R> {
+    fn new(source: &'static Source<R>, query: &CompiledQuery) -> Self {
+        Fold {
+            fields: source.fields,
+            query: query.clone(),
+            table: GroupTable::new(query.agg.clone()).with_top(query.top),
+            key: String::new(),
         }
-    };
+    }
 
-    Ok(Plan::Waits {
-        preds,
-        group,
-        value,
-    })
+    fn row(&mut self, row: &R) {
+        let cell = |i: usize| (self.fields[i].get)(row);
+        if !self.query.preds.iter().all(|(i, t)| t.matches(cell(*i))) {
+            return;
+        }
+        self.key.clear();
+        for (n, &i) in self.query.group.iter().enumerate() {
+            if n > 0 {
+                self.key.push(' ');
+            }
+            match cell(i) {
+                Cell::Num(v) => {
+                    let prefix = match self.fields[i].kind {
+                        Kind::Num(Some(p)) => p,
+                        _ => "",
+                    };
+                    let _ = write!(self.key, "{prefix}{v}");
+                }
+                Cell::Sym(_, label) => self.key.push_str(label),
+                Cell::Str(s) => self.key.push_str(s),
+            }
+        }
+        if self.query.group.is_empty() {
+            self.key.push_str("all");
+        }
+        let v = match self.query.value.map(cell) {
+            Some(Cell::Num(v)) => v,
+            _ => 0,
+        };
+        self.table.accept(&self.key, v);
+    }
+
+    fn all<'a>(mut self, rows: impl IntoIterator<Item = &'a R>) -> GroupTable {
+        for r in rows {
+            self.row(r);
+        }
+        self.table
+    }
 }
 
 /// The result of one query over one run.
@@ -792,16 +467,10 @@ pub struct QueryRun {
     pub trace_records: u64,
 }
 
-fn joined_key(key: &mut String, n_fields: usize) {
-    if n_fields == 0 {
-        key.push_str("all");
-    }
-}
-
 /// Runs `spec` against a fresh simulation of `config` and returns the
-/// aggregated table. The `records` source streams rows out of the
-/// analyzer with predicate pushdown (peak memory independent of trace
-/// length); the `locks` source replays the kernel probes' lock spans.
+/// aggregated table. The `records` source folds rows as the analyzer
+/// produces them (peak memory independent of trace length); the other
+/// sources fold the run's lock spans, hot lines or wait-for edges.
 pub fn run_query(config: &ExperimentConfig, spec: &QuerySpec) -> Result<QueryRun, String> {
     let compiled = compile(spec)?;
     run_compiled(config, &compiled)
@@ -809,243 +478,81 @@ pub fn run_query(config: &ExperimentConfig, spec: &QuerySpec) -> Result<QueryRun
 
 /// [`run_query`] for an already-[`compile`]d query (so a multi-workload
 /// driver validates once, before the first simulation).
-pub fn run_compiled(
-    config: &ExperimentConfig,
-    compiled: &CompiledQuery,
-) -> Result<QueryRun, String> {
-    match &compiled.plan {
-        Plan::Records {
-            filter,
-            preds,
-            group,
-            value,
-        } => {
-            let table = Rc::new(RefCell::new(
-                GroupTable::new(compiled.agg.clone()).with_top(compiled.top),
-            ));
-            let acc = Rc::clone(&table);
-            let (preds, group, value) = (preds.clone(), group.clone(), *value);
-            let mut key = String::new();
-            let sink = Box::new(move |row: &QueryRow| {
-                if !preds.iter().all(|p| p.matches(row)) {
-                    return;
-                }
-                key.clear();
-                for (i, g) in group.iter().enumerate() {
-                    if i > 0 {
-                        key.push(' ');
-                    }
-                    g.append(row, &mut key);
-                }
-                joined_key(&mut key, group.len());
-                let v = match value {
-                    Some(RecValue::Time) => row.time,
-                    Some(RecValue::Addr) => row.paddr,
-                    None => 0,
-                };
-                acc.borrow_mut().accept(&key, v);
-            });
-            let opts = StreamOptions {
-                online_sweeps: false,
-                ..StreamOptions::default()
+pub fn run_compiled(config: &ExperimentConfig, query: &CompiledQuery) -> Result<QueryRun, String> {
+    let mut opts = StreamOptions {
+        online_sweeps: false,
+        ..StreamOptions::default()
+    };
+    let (trace_records, table) = match query.source {
+        QuerySource::Records => {
+            let fold = Rc::new(RefCell::new(Fold::new(&RECORDS, query)));
+            let sink = Rc::clone(&fold);
+            let (art, _an) = run_streaming_rows(
+                config,
+                &opts,
+                Box::new(move |row| sink.borrow_mut().row(row)),
+            );
+            let Ok(fold) = Rc::try_unwrap(fold) else {
+                panic!("row sink must be dropped with the analyzer");
             };
-            let (art, _an) = run_streaming_rows(config, &opts, *filter, sink);
-            let table = Rc::try_unwrap(table)
-                .expect("row sink must be dropped with the analyzer")
-                .into_inner();
-            Ok(QueryRun {
-                table,
-                trace_records: art.trace_records,
-            })
+            (art.trace_records, fold.into_inner().table)
         }
-        Plan::Locks {
-            preds,
-            group,
-            value,
-        } => {
-            let opts = StreamOptions {
-                observe: true,
-                online_sweeps: false,
-                ..StreamOptions::default()
-            };
+        QuerySource::Locks => {
+            opts.observe = true;
             let (art, _an) = run_streaming(config, &opts);
-            let mut table = GroupTable::new(compiled.agg.clone()).with_top(compiled.top);
-            let spans = art
+            // `start` reads window-relative; `dur` stays end - start.
+            let spans: Vec<LockSpan> = art
                 .obs
-                .as_ref()
-                .map(|o| o.lock_spans.as_slice())
-                .unwrap_or(&[]);
-            let mut key = String::new();
-            for s in spans {
-                let start = s.start.saturating_sub(art.measure_start);
-                let dur = s.end.saturating_sub(s.start);
-                let pass = preds.iter().all(|p| match p {
-                    LockPred::Family(fs) => fs.contains(&s.lock.family),
-                    LockPred::Instance(n) => n.matches(s.lock.instance as u64),
-                    LockPred::Cpu(n) => n.matches(s.cpu.index() as u64),
-                    LockPred::Phase(bits) => {
-                        bits & match s.phase {
-                            LockPhase::Spin => PHASE_SPIN,
-                            LockPhase::Hold => PHASE_HOLD,
-                        } != 0
+                .iter()
+                .flat_map(|o| &o.lock_spans)
+                .map(|s| {
+                    let start = s.start.saturating_sub(art.measure_start);
+                    LockSpan {
+                        start,
+                        end: start + s.end.saturating_sub(s.start),
+                        ..*s
                     }
-                    LockPred::Start(n) => n.matches(start),
-                    LockPred::Dur(n) => n.matches(dur),
-                });
-                if !pass {
-                    continue;
-                }
-                key.clear();
-                for (i, g) in group.iter().enumerate() {
-                    if i > 0 {
-                        key.push(' ');
-                    }
-                    match g {
-                        LockGroup::Family => key.push_str(s.lock.family.label()),
-                        LockGroup::Instance => {
-                            let _ = write!(key, "i{}", s.lock.instance);
-                        }
-                        LockGroup::Cpu => {
-                            let _ = write!(key, "cpu{}", s.cpu.index());
-                        }
-                        LockGroup::Phase => key.push_str(match s.phase {
-                            LockPhase::Spin => "spin",
-                            LockPhase::Hold => "hold",
-                        }),
-                    }
-                }
-                joined_key(&mut key, group.len());
-                let v = match value {
-                    Some(LockValue::Dur) => dur,
-                    Some(LockValue::Start) => start,
-                    None => 0,
-                };
-                table.accept(&key, v);
-            }
-            Ok(QueryRun {
-                table,
-                trace_records: art.trace_records,
-            })
+                })
+                .collect();
+            (art.trace_records, Fold::new(&LOCKS, query).all(&spans))
         }
-        Plan::Hotlines {
-            preds,
-            group,
-            value,
-        } => {
+        QuerySource::Hotlines => {
             // Every shared line is a row, not just the export's top-K:
             // aggregations must see the full population.
-            let opts = StreamOptions {
-                online_sweeps: false,
-                hotlines: true,
-                hotlines_top: usize::MAX,
-                ..StreamOptions::default()
-            };
+            opts.hotlines = true;
+            opts.hotlines_top = usize::MAX;
             let (art, an) = run_streaming(config, &opts);
-            let mut table = GroupTable::new(compiled.agg.clone()).with_top(compiled.top);
-            let rows = an
-                .hotlines
-                .as_deref()
-                .map(|h| h.top.as_slice())
-                .unwrap_or(&[]);
-            let mut key = String::new();
-            for row in rows {
-                if !preds.iter().all(|p| p.matches(row)) {
-                    continue;
-                }
-                key.clear();
-                for (i, g) in group.iter().enumerate() {
-                    if i > 0 {
-                        key.push(' ');
-                    }
-                    match g {
-                        HotGroup::Symbol => key.push_str(&row.symbol),
-                        HotGroup::Region => key.push_str(row.region.label()),
-                        HotGroup::FalseSharing => key.push_str(if row.false_sharing {
-                            "false_sharing"
-                        } else {
-                            "true_sharing"
-                        }),
-                    }
-                }
-                joined_key(&mut key, group.len());
-                let v = match value {
-                    Some(HotValue::Misses) => row.total_misses(),
-                    Some(HotValue::Invals) => row.invals,
-                    Some(HotValue::Churn) => row.churn,
-                    Some(HotValue::Sharers) => row.sharers as u64,
-                    Some(HotValue::Score) => row.score,
-                    None => 0,
-                };
-                table.accept(&key, v);
-            }
-            Ok(QueryRun {
-                table,
-                trace_records: art.trace_records,
-            })
+            let rows = an.hotlines.iter().flat_map(|h| &h.top);
+            (art.trace_records, Fold::new(&HOTLINES, query).all(rows))
         }
-        Plan::Waits {
-            preds,
-            group,
-            value,
-        } => {
-            let opts = StreamOptions {
-                observe: true,
-                online_sweeps: false,
-                ..StreamOptions::default()
-            };
+        QuerySource::Waits => {
+            opts.observe = true;
             let (mut art, _an) = run_streaming(config, &opts);
             let obs = art.obs.take();
             let (edges, locks) = match obs.as_deref() {
                 Some(o) => crate::causal::wait_edges_for_run(&art, o),
                 None => (Vec::new(), Vec::new()),
             };
-            let mut table = GroupTable::new(compiled.agg.clone()).with_top(compiled.top);
-            let mut key = String::new();
-            for e in &edges {
-                let name = locks
-                    .get(e.lock as usize)
-                    .map(String::as_str)
-                    .unwrap_or("-");
-                if !preds.iter().all(|p| p.matches(e, name)) {
-                    continue;
-                }
-                key.clear();
-                for (i, g) in group.iter().enumerate() {
-                    if i > 0 {
-                        key.push(' ');
-                    }
-                    match g {
-                        WaitGroup::Waiter => {
-                            let _ = write!(key, "cpu{}", e.waiter);
-                        }
-                        WaitGroup::Holder => {
-                            let _ = write!(key, "cpu{}", e.holder);
-                        }
-                        WaitGroup::Lock => key.push_str(name),
-                        WaitGroup::HolderOp => key.push_str(&e.holder_op),
-                        WaitGroup::Truncated => {
-                            key.push_str(if e.truncated { "truncated" } else { "complete" })
-                        }
-                    }
-                }
-                joined_key(&mut key, group.len());
-                let v = match value {
-                    Some(WaitValue::Duration) => e.duration(),
-                    None => 0,
-                };
-                table.accept(&key, v);
-            }
-            Ok(QueryRun {
-                table,
-                trace_records: art.trace_records,
-            })
+            let rows: Vec<(WaitEdge, String)> = edges
+                .into_iter()
+                .map(|e| {
+                    let name = locks.get(e.lock as usize).map_or("-", String::as_str);
+                    (e, name.to_string())
+                })
+                .collect();
+            (art.trace_records, Fold::new(&WAITS, query).all(&rows))
         }
-    }
+    };
+    Ok(QueryRun {
+        table,
+        trace_records,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oscar_machine::BusKind;
 
     fn spec(
         source: &str,
@@ -1055,6 +562,26 @@ mod tests {
     ) -> Result<QuerySpec, String> {
         let ws: Vec<String> = wheres.iter().map(|s| s.to_string()).collect();
         QuerySpec::parse(source, &ws, by, agg, None)
+    }
+
+    fn row(time: u64, cpu: u8, class: Option<ArchClass>) -> QueryRow {
+        QueryRow {
+            time,
+            cpu,
+            kind: BusKind::Read,
+            paddr: 0x1000,
+            mode: Mode::Kernel,
+            instr: false,
+            class,
+            op: None,
+            region: None,
+        }
+    }
+
+    /// Folds `rows` through a compiled records query.
+    fn fold_records(wheres: &[&str], by: Option<&str>, rows: &[QueryRow]) -> GroupTable {
+        let q = compile(&spec("records", wheres, by, None).unwrap()).unwrap();
+        Fold::new(&RECORDS, &q).all(rows)
     }
 
     #[test]
@@ -1073,9 +600,6 @@ mod tests {
                 .unwrap_err()
                 .contains("value list")
         );
-        assert!(compile(&spec("records", &["cpu=40"], None, None).unwrap())
-            .unwrap_err()
-            .contains("out of range"));
         assert!(
             compile(&spec("locks", &["family=Nosuch"], None, None).unwrap())
                 .unwrap_err()
@@ -1104,34 +628,37 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_splits_from_enriched_predicates() {
-        let c = compile(
-            &spec(
-                "records",
-                &["cpu=1", "time=100..200", "mode=os", "class=sharing"],
-                None,
-                None,
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        let Plan::Records { filter, preds, .. } = &c.plan else {
-            panic!("records plan expected");
-        };
-        let f = filter.expect("cpu/time push down");
-        assert_eq!(f.cpus, Some(1 << 1));
-        assert_eq!(f.time, Some((100, 200)));
-        assert_eq!(preds.len(), 2, "mode and class stay enriched");
+    fn repeated_range_filters_intersect() {
+        let rows: Vec<QueryRow> = (0..10).map(|i| row(i * 100, 0, None)).collect();
+        let t = fold_records(&["time=100..500", "time=300..900"], None, &rows);
+        assert_eq!(t.matched(), 3, "300, 400 and 500 pass both ranges");
+        // Value lists intersect with ranges the same way.
+        let t = fold_records(&["time=200,400,600", "time=300..900"], None, &rows);
+        assert_eq!(t.matched(), 2);
     }
 
     #[test]
-    fn repeated_range_filters_intersect() {
-        let c = compile(&spec("records", &["time=100..500", "time=300..900"], None, None).unwrap())
-            .unwrap();
-        let Plan::Records { filter, .. } = &c.plan else {
-            panic!("records plan expected");
-        };
-        assert_eq!(filter.unwrap().time, Some((300, 500)));
+    fn every_predicate_runs_on_the_enriched_row() {
+        let sharing = Some(ArchClass::Sharing);
+        let rows = [
+            row(150, 1, sharing),
+            row(150, 1, Some(ArchClass::Cold)),
+            row(150, 2, sharing),
+            row(250, 1, sharing),
+            row(150, 40, sharing),
+        ];
+        let t = fold_records(
+            &["cpu=1", "time=100..200", "mode=os", "class=sharing"],
+            None,
+            &rows,
+        );
+        assert_eq!(t.matched(), 1);
+        // CPUs past 31 are plain numbers: listed, ranged and grouped.
+        let t = fold_records(&["cpu=40"], None, &rows);
+        assert_eq!(t.matched(), 1);
+        let t = fold_records(&["cpu=2..63"], Some("cpu"), &rows);
+        assert_eq!(t.matched(), 2);
+        assert!(t.to_json().contains("\"cpu40\""), "{}", t.to_json());
     }
 
     #[test]
@@ -1147,10 +674,16 @@ mod tests {
             .unwrap()
         )
         .is_ok());
-        // Unknown fields list the full field vocabulary.
+        // Unknown fields list the full field vocabulary, in order.
         let e = compile(&spec("hotlines", &["bogus=1"], None, None).unwrap()).unwrap_err();
         assert!(e.contains("unknown hotlines field"), "{e}");
-        assert!(e.contains(HOTLINE_FIELDS), "{e}");
+        assert!(
+            e.contains(
+                "symbol, region, false_sharing, sharers, misses, invals, churn, upgrades, \
+                 score, addr"
+            ),
+            "{e}"
+        );
         // Unknown values list the value vocabulary.
         let e = compile(&spec("hotlines", &["region=heap"], None, None).unwrap()).unwrap_err();
         assert!(e.contains("unknown region"), "{e}");
@@ -1184,14 +717,20 @@ mod tests {
             .unwrap()
         )
         .is_ok());
-        // Unknown fields list the full field vocabulary.
+        // Unknown fields list the full field vocabulary, in order.
         let e = compile(&spec("waits", &["bogus=1"], None, None).unwrap()).unwrap_err();
         assert!(e.contains("unknown waits field"), "{e}");
-        assert!(e.contains(WAIT_FIELDS), "{e}");
+        assert!(
+            e.contains("waiter, holder, lock, duration, holder_op, truncated"),
+            "{e}"
+        );
         // Bad boolean and continuous-group errors match the other
         // sources' phrasing.
         let e = compile(&spec("waits", &["truncated=maybe"], None, None).unwrap()).unwrap_err();
         assert!(e.contains("one of: true, false"), "{e}");
+        let e =
+            compile(&spec("waits", &["truncated=true,false"], None, None).unwrap()).unwrap_err();
+        assert!(e.contains("needs exactly one of true, false"), "{e}");
         assert!(
             compile(&spec("waits", &[], Some("duration"), None).unwrap())
                 .unwrap_err()
@@ -1204,13 +743,109 @@ mod tests {
 
     #[test]
     fn class_bits_make_disp_os_same_a_subset() {
-        let same = class_bits(ArchClass::DispOs { same_epoch: true });
-        let plain = class_bits(ArchClass::DispOs { same_epoch: false });
-        let (_, disp_os) = CLASS_VALUES[1];
-        let (_, disp_os_same) = CLASS_VALUES[2];
-        assert_ne!(same & disp_os, 0);
-        assert_ne!(same & disp_os_same, 0);
-        assert_ne!(plain & disp_os, 0);
-        assert_eq!(plain & disp_os_same, 0);
+        let rows = [
+            row(0, 0, Some(ArchClass::DispOs { same_epoch: true })),
+            row(0, 0, Some(ArchClass::DispOs { same_epoch: false })),
+            row(0, 0, None),
+        ];
+        assert_eq!(fold_records(&["class=disp_os"], None, &rows).matched(), 2);
+        assert_eq!(
+            fold_records(&["class=disp_os_same"], None, &rows).matched(),
+            1
+        );
+        // Groups take the most specific label; rows without a class
+        // group as `-`.
+        let j = fold_records(&[], Some("class"), &rows).to_json();
+        for key in ["\"disp_os_same\"", "\"disp_os\"", "\"-\""] {
+            assert!(j.contains(key), "{key} in {j}");
+        }
+    }
+
+    /// Every vocabulary cell a row can project sets the bit of its own
+    /// label, and every source's value-field list names exactly its
+    /// value fields.
+    #[test]
+    fn tables_agree_with_their_vocabularies() {
+        fn check<R>(src: &Source<R>, name: &str, r: &R) {
+            let f = src.fields.iter().find(|f| f.name == name).unwrap();
+            let Kind::Vocab(labels) = f.kind else {
+                panic!("{name} is a vocabulary field");
+            };
+            let Cell::Sym(bits, label) = (f.get)(r) else {
+                panic!("{name} projects symbols");
+            };
+            assert_eq!(labels(63 - bits.leading_zeros() as usize), Some(label));
+        }
+        let base = row(0, 0, None);
+        for kind in [
+            BusKind::Read,
+            BusKind::ReadEx,
+            BusKind::Upgrade,
+            BusKind::WriteBack,
+            BusKind::UncachedRead,
+        ] {
+            check(&RECORDS, "kind", &QueryRow { kind, ..base });
+        }
+        for mode in [Mode::Kernel, Mode::User, Mode::Idle] {
+            check(&RECORDS, "mode", &QueryRow { mode, ..base });
+        }
+        for instr in [true, false] {
+            check(&RECORDS, "fetch", &QueryRow { instr, ..base });
+        }
+        for op in OpClass::ALL {
+            check(
+                &RECORDS,
+                "op",
+                &QueryRow {
+                    op: Some(op),
+                    ..base
+                },
+            );
+        }
+        for region in REGIONS {
+            let r = QueryRow {
+                region: Some(region),
+                ..base
+            };
+            check(&RECORDS, "region", &r);
+        }
+        for family in LockFamily::ALL {
+            for phase in [LockPhase::Spin, LockPhase::Hold] {
+                let s = LockSpan {
+                    lock: oscar_os::LockId {
+                        family,
+                        instance: 0,
+                    },
+                    cpu: oscar_machine::CpuId(0),
+                    phase,
+                    start: 0,
+                    end: 0,
+                    truncated: false,
+                };
+                check(&LOCKS, "family", &s);
+                check(&LOCKS, "phase", &s);
+            }
+        }
+
+        fn values<R>(s: &Source<R>) -> (Vec<&'static str>, Vec<&'static str>) {
+            let mut listed: Vec<&str> = s.values.split('|').collect();
+            let mut flagged: Vec<&str> = s
+                .fields
+                .iter()
+                .filter(|f| f.value)
+                .map(|f| f.name)
+                .collect();
+            listed.sort_unstable();
+            flagged.sort_unstable();
+            (listed, flagged)
+        }
+        for (listed, flagged) in [
+            values(&RECORDS),
+            values(&LOCKS),
+            values(&HOTLINES),
+            values(&WAITS),
+        ] {
+            assert_eq!(listed, flagged);
+        }
     }
 }

@@ -1,11 +1,9 @@
 //! SWAR scan kernel over packed byte columns.
 //!
 //! The monitor stages records as structure-of-arrays columns
-//! ([`crate::monitor::RecordBlock`]), so the hot consumers — the
-//! analyzer's kind-dispatch loop and the query engine's pushed-down
-//! [`crate::monitor::RecordFilter`] (via
-//! [`crate::monitor::BlockSelector`]) — scan a contiguous `&[u8]`
-//! asking one question: *which lanes hold one of these byte values?*
+//! ([`crate::monitor::RecordBlock`]), so the analyzer's write-back
+//! prescan scans the packed kind column, a contiguous `&[u8]`, asking
+//! one question: *which lanes hold one of these byte values?*
 //! This module answers it 64 lanes per output word with one portable
 //! kernel, [`select_eq_any`]: eight lanes per `u64` using an exact
 //! zero-byte mask (`(y & 0x7f..) + 0x7f.. | y`, no cross-lane carries,
@@ -54,19 +52,6 @@ fn select_tail(codes: &[u8], first: usize, values: &[u8], out: &mut [u64]) {
         if values.contains(&c) {
             let j = first + i;
             out[j / 64] |= 1u64 << (j % 64);
-        }
-    }
-}
-
-/// Fills `out` with the all-lanes-set bitmap for a column of `len`
-/// lanes (tail bits zero), the identity for further `AND`ing.
-pub fn ones(len: usize, out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(len.div_ceil(64), !0u64);
-    if let Some(last) = out.last_mut() {
-        let tail = len % 64;
-        if tail != 0 {
-            *last = (1u64 << tail) - 1;
         }
     }
 }
@@ -154,18 +139,5 @@ mod tests {
             popcount(&oracle),
             codes.iter().filter(|&&c| (1..=2).contains(&c)).count() as u64
         );
-    }
-
-    #[test]
-    fn ones_masks_the_tail() {
-        let mut bm = Vec::new();
-        ones(70, &mut bm);
-        assert_eq!(bm.len(), 2);
-        assert_eq!(bm[0], !0u64);
-        assert_eq!(bm[1], (1u64 << 6) - 1);
-        ones(64, &mut bm);
-        assert_eq!(bm, vec![!0u64]);
-        ones(0, &mut bm);
-        assert!(bm.is_empty());
     }
 }

@@ -334,8 +334,9 @@ impl Metrics {
     }
 }
 
-/// JSON string escaping.
-pub(crate) fn json_str(s: &str) -> String {
+/// JSON string escaping: quotes, backslashes and control characters
+/// (`\n`, `\t`, `\r` by name, the rest as `\u00XX`).
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -356,7 +357,7 @@ pub(crate) fn json_str(s: &str) -> String {
 }
 
 /// Finite-number JSON rendering (NaN/inf degrade to 0).
-pub(crate) fn json_num(v: f64) -> String {
+pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -367,6 +368,14 @@ pub(crate) fn json_num(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escaping_handles_special_chars() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_num(f64::NAN), "0");
+        assert_eq!(json_num(1.5), "1.5");
+    }
 
     #[test]
     fn log2_buckets_cover_powers_of_two() {

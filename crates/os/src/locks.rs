@@ -395,15 +395,16 @@ impl LockObs {
 #[derive(Debug, Clone, Default)]
 struct LockState {
     held_by: Option<CpuId>,
-    /// Bitmask of CPUs currently spinning on this lock.
-    spinning: u32,
+    /// Bitmask of CPUs currently spinning on this lock (one bit per
+    /// CPU, up to the machine's 64).
+    spinning: u64,
     last_acquirer: Option<CpuId>,
     other_touched: bool,
     last_acquire_time: Option<u64>,
     /// Bitmask of CPUs whose (hypothetical) cache holds the lock line.
-    llsc_sharers: u32,
+    llsc_sharers: u64,
     /// Whether the acquire op in flight per CPU already failed once.
-    first_failed: u32,
+    first_failed: u64,
 }
 
 /// The kernel lock table: lock state plus per-family statistics.
@@ -445,7 +446,7 @@ impl LockTable {
                     w.u8(c.0);
                 }
             }
-            w.u32(st.spinning);
+            w.u64(st.spinning);
             match st.last_acquirer {
                 None => w.bool(false),
                 Some(c) => {
@@ -461,8 +462,8 @@ impl LockTable {
                     w.u64(t);
                 }
             }
-            w.u32(st.llsc_sharers);
-            w.u32(st.first_failed);
+            w.u64(st.llsc_sharers);
+            w.u64(st.first_failed);
         }
         for fs in &self.stats {
             for v in [
@@ -502,12 +503,12 @@ impl LockTable {
             let id = crate::snap::load_lock_id(r)?;
             let st = LockState {
                 held_by: opt_cpu(r)?,
-                spinning: r.u32()?,
+                spinning: r.u64()?,
                 last_acquirer: opt_cpu(r)?,
                 other_touched: r.bool()?,
                 last_acquire_time: if r.bool()? { Some(r.u64()?) } else { None },
-                llsc_sharers: r.u32()?,
-                first_failed: r.u32()?,
+                llsc_sharers: r.u64()?,
+                first_failed: r.u64()?,
             };
             self.locks.insert(id, st);
         }
@@ -531,8 +532,8 @@ impl LockTable {
         Ok(())
     }
 
-    fn mask(cpu: CpuId) -> u32 {
-        1u32 << cpu.index()
+    fn mask(cpu: CpuId) -> u64 {
+        1u64 << cpu.index()
     }
 
     /// Turns on the per-instance dynamic probes at window-start time

@@ -606,8 +606,9 @@ fn report_main(argv: &[String]) {
 }
 
 /// `oscar-reports query`: filter/group/aggregate the record stream (or
-/// the lock spans) of fresh runs, with predicate pushdown — no trace is
-/// ever materialized, and the JSON is byte-identical for any --jobs.
+/// the lock spans, hot lines or wait-for edges) of fresh runs — no
+/// trace is ever materialized, and the JSON is byte-identical for any
+/// --jobs.
 fn query_main(argv: &[String]) {
     let mut positional = Vec::new();
     let mut machine = MachineFlags::default();

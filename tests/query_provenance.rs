@@ -1,14 +1,17 @@
 //! Integration tests for the trace query engine, exhibit provenance
-//! and the diff gate: pushdown must agree with a materialized replay,
-//! provenance cells must sum to the aggregate analysis, everything
-//! must be byte-identical across `--jobs`, and edge cases (empty
-//! windows, zero-match queries) must stay well-formed.
+//! and the diff gate: record predicates must agree with hand counts
+//! over a materialized trace, provenance cells must sum to the
+//! aggregate analysis, everything must be byte-identical across
+//! `--jobs`, and edge cases (empty windows, zero-match queries) must
+//! stay well-formed.
 
 use oscar_core::driver::{run_reports, ReportRequest};
 use oscar_core::observe::{merge_provenance_json, provenance_metrics};
 use oscar_core::pipeline::{run_streaming, StreamOptions};
 use oscar_core::query::{compile, run_query};
 use oscar_core::{parallel_map, render_all, ExperimentConfig};
+use oscar_machine::monitor::BusRecord;
+use oscar_machine::{BusKind, MachineConfig};
 use oscar_obs::query::QuerySpec;
 use oscar_obs::{diff_documents, Tolerance};
 use oscar_workloads::WorkloadKind;
@@ -36,35 +39,78 @@ fn unfiltered_query_matches_every_record() {
     assert!(q.table.len() >= 4, "reads, read-ex, writebacks, escapes");
 }
 
-#[test]
-fn pushdown_agrees_with_materialized_trace() {
-    let config = small(WorkloadKind::Pmake);
-    // Reference: materialize the trace and count by hand.
+/// Runs `config` with the trace kept, for hand counts over the raw
+/// records.
+fn materialized(config: &ExperimentConfig) -> oscar_core::RunArtifacts {
     let opts = StreamOptions {
         keep_trace: true,
         ..StreamOptions::default()
     };
-    let (art, _an) = run_streaming(&config, &opts);
-    let lo = 500_000u64;
-    let hi = 1_500_000u64;
-    let expected = art
-        .trace
-        .iter()
-        .filter(|r| {
-            // The analyzer rebases with saturating_sub; mirror it so
-            // boundary records land in the same bucket.
-            let t = r.time.saturating_sub(art.measure_start);
-            r.cpu.index() == 1 && t >= lo && t <= hi
-        })
-        .count() as u64;
+    run_streaming(config, &opts).0
+}
 
-    let q = run_query(
-        &config,
-        &spec("records", &["cpu=1", "time=500000..1500000"], None, None),
-    )
-    .unwrap();
-    assert_eq!(q.table.matched(), expected, "pushdown must not drop rows");
-    assert!(expected > 0, "window must not be trivially empty");
+#[test]
+fn record_predicates_agree_with_materialized_trace() {
+    let config = small(WorkloadKind::Pmake);
+    // Reference: materialize the trace and count by hand.
+    let art = materialized(&config);
+    // The analyzer rebases with saturating_sub; mirror it so boundary
+    // records land in the same bucket.
+    let t = |r: &BusRecord| r.time.saturating_sub(art.measure_start);
+    let check = |wheres: &[&str], keep: &dyn Fn(&BusRecord) -> bool| {
+        let expected = art.trace.iter().filter(|r| keep(r)).count() as u64;
+        assert!(expected > 0, "{wheres:?} must not be trivially empty");
+        assert!(
+            expected < art.trace_records,
+            "{wheres:?} must filter something"
+        );
+        let q = run_query(&config, &spec("records", wheres, None, None)).unwrap();
+        assert_eq!(q.table.matched(), expected, "{wheres:?}");
+    };
+    check(&["cpu=1", "time=500000..1500000"], &|r| {
+        r.cpu.index() == 1 && (500_000..=1_500_000).contains(&t(r))
+    });
+    check(&["cpu=0,2"], &|r| matches!(r.cpu.index(), 0 | 2));
+    check(&["kind=readex,writeback"], &|r| {
+        matches!(r.kind, BusKind::ReadEx | BusKind::WriteBack)
+    });
+    check(&["addr=0x100000..0x5fffff"], &|r| {
+        (0x10_0000..=0x5f_ffff).contains(&r.paddr.raw())
+    });
+    check(&["time=200000..1200000", "time=800000..2000000"], &|r| {
+        (800_000..=1_200_000).contains(&t(r))
+    });
+}
+
+/// The CPU predicate is a plain number over every CPU the machine can
+/// have (1..=64), not a 32-bit mask: on a 40-CPU machine a range
+/// covering every CPU matches every record, and CPUs past 31 filter
+/// like any other.
+#[test]
+fn cpu_filter_covers_every_cpu() {
+    // The machine `--cpus 40` builds: scaled caches, weak-scaled mix.
+    let mut config = ExperimentConfig::new(WorkloadKind::Pmake)
+        .warmup(1_000_000)
+        .measure(1_000_000)
+        .scaled_workload(true);
+    config.machine = MachineConfig::scaled(40);
+    let art = materialized(&config);
+    let count = |keep: &dyn Fn(usize) -> bool| {
+        art.trace.iter().filter(|r| keep(r.cpu.index())).count() as u64
+    };
+    let matched = |w: &str| {
+        run_query(&config, &spec("records", &[w], None, None))
+            .unwrap()
+            .table
+            .matched()
+    };
+    assert_eq!(matched("cpu=0..63"), art.trace_records);
+    let high = count(&|c| (32..=39).contains(&c));
+    assert!(high > 0, "CPUs 32..39 must issue records");
+    assert_eq!(matched("cpu=32..39"), high);
+    let c35 = count(&|c| c == 35);
+    assert!(c35 > 0, "CPU 35 must issue records");
+    assert_eq!(matched("cpu=35"), c35);
 }
 
 #[test]

@@ -147,7 +147,7 @@ fn provenance_metrics_are_identical_on_both_paths() {
 fn query_results_are_identical_on_block_path_across_jobs() {
     // `query` runs fresh simulations through the SoA pipeline; the
     // grouped histogram must not depend on --jobs (and
-    // `pushdown_agrees_with_materialized_trace` pins it to the
+    // `record_predicates_agree_with_materialized_trace` pins it to the
     // materialized per-record trace).
     let configs: Vec<ExperimentConfig> =
         vec![small(WorkloadKind::Pmake), small(WorkloadKind::Multpgm)];

@@ -11,8 +11,6 @@ use oscar_core::pipeline::{run_streaming, run_streaming_rows, StreamOptions};
 use oscar_core::{
     merge_metrics_json, render_all, run, ExperimentConfig, RunArtifacts, TraceAnalysis,
 };
-use oscar_machine::monitor::RecordFilter;
-use oscar_machine::BusKind;
 use oscar_obs::MetricValue;
 use oscar_workloads::WorkloadKind;
 
@@ -196,55 +194,51 @@ fn stage_stats_compose_with_epoch_cycles() {
     assert_eq!(stage_ids, ["stage/pmake/produce", "stage/pmake/analyze"]);
 }
 
-/// The columnar row filter (SWAR pass bitmap) must admit exactly the
-/// rows the scalar predicate admits, at ragged chunk sizes. The oracle
-/// runs unfiltered and applies the predicate row by row.
+/// The row sink sees every record exactly once, in trace order, with
+/// its window-relative time, at ragged chunk sizes; query predicates
+/// run on these rows.
 #[test]
-fn columnar_row_filter_matches_scalar_predicate() {
+fn row_sink_sees_every_record_at_any_chunk_size() {
     let config = small(WorkloadKind::Pmake);
-    let filter = RecordFilter {
-        cpus: Some((1 << 0) | (1 << 2)),
-        kinds: Some(
-            RecordFilter::kind_bit(BusKind::Read) | RecordFilter::kind_bit(BusKind::WriteBack),
-        ),
-        addr: Some((0x10_0000, 0x60_0000)),
-        time: Some((100_000, 2_000_000)),
-    };
-
-    let collect = |filter: Option<RecordFilter>, chunk: usize| {
+    let collect = |chunk: usize| {
         let rows = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let sink_rows = std::rc::Rc::clone(&rows);
         let opts = StreamOptions {
             chunk_records: chunk,
+            keep_trace: true,
             ..StreamOptions::default()
         };
-        run_streaming_rows(
+        let (art, _an) = run_streaming_rows(
             &config,
             &opts,
-            filter,
             Box::new(move |r| {
                 sink_rows
                     .borrow_mut()
                     .push((r.time, r.cpu, r.kind, r.paddr));
             }),
         );
-        std::rc::Rc::try_unwrap(rows).unwrap().into_inner()
+        let rows = std::rc::Rc::try_unwrap(rows).unwrap().into_inner();
+        (art, rows)
     };
 
-    // Oracle: unfiltered rows, predicate applied scalar per row.
-    let oracle: Vec<_> = collect(None, 4096)
-        .into_iter()
-        .filter(|&(time, cpu, kind, paddr)| {
-            (cpu == 0 || cpu == 2)
-                && matches!(kind, BusKind::Read | BusKind::WriteBack)
-                && (0x10_0000..=0x60_0000).contains(&paddr)
-                && (100_000..=2_000_000).contains(&time)
+    // Oracle: the materialized trace, rebased the way the analyzer
+    // rebases.
+    let (art, rows) = collect(4096);
+    let oracle: Vec<_> = art
+        .trace
+        .iter()
+        .map(|r| {
+            (
+                r.time.saturating_sub(art.measure_start),
+                r.cpu.0,
+                r.kind,
+                r.paddr.raw(),
+            )
         })
         .collect();
-    assert!(!oracle.is_empty(), "filter must admit some rows");
-
-    for chunk in [63, 1000, 4096] {
-        let got = collect(Some(filter), chunk);
-        assert_eq!(got, oracle, "chunk {chunk}: filtered rows diverge");
+    assert!(!oracle.is_empty());
+    assert_eq!(rows, oracle, "rows must be 1:1 with trace records");
+    for chunk in [63, 1000] {
+        assert_eq!(collect(chunk).1, oracle, "chunk {chunk}: rows diverge");
     }
 }
